@@ -4,9 +4,11 @@
 #include <bit>
 #include <cmath>
 #include <cstdio>
-#include <stdexcept>
-
 #include <map>
+#include <optional>
+#include <span>
+#include <stdexcept>
+#include <string_view>
 
 #include "bbw/cu_task.hpp"
 #include "core/replication.hpp"
@@ -102,6 +104,8 @@ struct BbwSystemSim::Impl {
     // Wheel nodes: command sequence captured with the input snapshot, so the
     // e2e.latency sample spans pedal-read (CU) -> torque-apply (this job).
     std::uint64_t snapshotSeq = ~0ULL;
+    // CUs: the command message being queued (buffer reused every job).
+    std::vector<std::uint32_t> commandMessage;
   };
 
   BbwSimConfig config;
@@ -121,10 +125,11 @@ struct BbwSystemSim::Impl {
       tem::DuplexArbiter{tem::DuplexArbiter::Policy::FirstValid}};
   std::array<std::int32_t, kWheelCount> wheelLimitQ8{-1, -1, -1, -1};
   // End-to-end latency bookkeeping (simulated clock): when each command
-  // sequence's pedal input was sampled on a CU, which sequence each wheel
-  // last received, and which it already measured (one sample per wheel and
-  // sequence, taken at the first actuator apply).
-  std::map<std::uint64_t, SimTime> commandSampleTime;
+  // sequence's pedal input was sampled on a CU (indexed by sequence, which
+  // is the dense CU job index; empty = not sampled), which sequence each
+  // wheel last received, and which it already measured (one sample per
+  // wheel and sequence, taken at the first actuator apply).
+  std::vector<std::optional<SimTime>> commandSampleTime;
   std::array<std::uint64_t, kWheelCount> lastCommandSeq{~0ULL, ~0ULL, ~0ULL, ~0ULL};
   std::array<std::uint64_t, kWheelCount> lastMeasuredSeq{~0ULL, ~0ULL, ~0ULL, ~0ULL};
   std::uint64_t commandFramesDelivered = 0;
@@ -296,7 +301,11 @@ struct BbwSystemSim::Impl {
         // The pedal is read HERE; the job's sequence number equals its job
         // index, so the e2e.latency clock for that sequence starts now (the
         // earlier of the two CU replicas wins, which only widens the sample).
-        commandSampleTime.try_emplace(context.jobIndex, simulator.now());
+        if (commandSampleTime.size() <= context.jobIndex) {
+          commandSampleTime.resize(context.jobIndex + 1);
+        }
+        std::optional<SimTime>& sampled = commandSampleTime[context.jobIndex];
+        if (!sampled) sampled = simulator.now();
         double pedal = config.pedalProfile
                            ? config.pedalProfile(simulator.now().toSeconds())
                            : config.pedal;
@@ -374,12 +383,12 @@ struct BbwSystemSim::Impl {
       } else {
         // Replica determinism: both CUs tag the command of job k with
         // sequence number k, so receivers can arbitrate the duplex pair.
-        std::vector<std::uint32_t> payload;
-        payload.reserve(2 + result.data.size());
-        payload.push_back(kMsgCommand);
-        payload.push_back(static_cast<std::uint32_t>(result.jobIndex));
-        payload.insert(payload.end(), result.data.begin(), result.data.end());
-        membership.queueAppData(id, std::move(payload));
+        std::vector<std::uint32_t>& message = n.commandMessage;
+        message.clear();
+        message.push_back(kMsgCommand);
+        message.push_back(static_cast<std::uint32_t>(result.jobIndex));
+        message.insert(message.end(), result.data.begin(), result.data.end());
+        membership.queueAppData(id, std::span<const std::uint32_t>{message});
       }
     }
   }
@@ -392,10 +401,11 @@ struct BbwSystemSim::Impl {
     const std::size_t w = wheelIndex(receiver);
     const std::uint64_t sequence = data[1];
     const int replica = sender == kCuA ? 0 : 1;
-    const auto accepted = commandArbiter[w].offer(
-        replica, sequence, {data.begin() + 2, data.end()}, simulator.now());
-    if (!accepted) return;  // duplicate from the partner CU
-    lastCommandQ8[w] = (*accepted)[w];
+    const std::span<const std::uint32_t> command{data.begin() + 2, data.end()};
+    if (!commandArbiter[w].accept(replica, sequence, command, simulator.now())) {
+      return;  // duplicate from the partner CU
+    }
+    lastCommandQ8[w] = command[w];
     lastCommandSeq[w] = sequence;
     ++commandFramesDelivered;
   }
@@ -406,12 +416,15 @@ struct BbwSystemSim::Impl {
   void observeEndToEnd(std::size_t wheel, std::uint64_t sequence) {
     if (!metrics || sequence == ~0ULL) return;
     if (lastMeasuredSeq[wheel] == sequence) return;  // later applies hold the value
-    const auto sampled = commandSampleTime.find(sequence);
-    if (sampled == commandSampleTime.end()) return;
+    if (sequence >= commandSampleTime.size()) return;
+    const std::optional<SimTime>& sampled = commandSampleTime[sequence];
+    if (!sampled) return;
     lastMeasuredSeq[wheel] = sequence;
-    const auto latencyUs = static_cast<double>((simulator.now() - sampled->second).us());
-    metrics->observe("e2e.latency", obs::HistogramSpec{0.0, 50000.0, 50}, latencyUs);
-    metrics->gaugeMax("e2e.latency.max_us", latencyUs);
+    const auto latencyUs = static_cast<double>((simulator.now() - *sampled).us());
+    static const std::string kLatency{"e2e.latency"};
+    static const std::string kLatencyMax{"e2e.latency.max_us"};
+    metrics->observe(kLatency, obs::HistogramSpec{0.0, 50000.0, 50}, latencyUs);
+    metrics->gaugeMax(kLatencyMax, latencyUs);
   }
 
   void onNodeSilent(net::NodeId id, bool scheduleRestart) {
@@ -548,12 +561,18 @@ struct BbwSystemSim::Impl {
     for (const Node& n : nodes) {
       recorder->setProcessName(n.id, (isWheel(n.id) ? "wheel-node-" : "central-unit-") +
                                          std::to_string(n.id));
-      std::map<std::string, std::uint32_t> tids;
+      struct Lane {
+        std::uint32_t tid;
+        std::string name;
+      };
+      std::map<std::string_view, Lane> lanes;
       for (const rt::ExecutionSegment& segment : n.cpu->trace()) {
-        auto [it, inserted] =
-            tids.try_emplace(segment.label, static_cast<std::uint32_t>(tids.size() + 1));
-        if (inserted) recorder->setThreadName(n.id, it->second, segment.label);
-        recorder->complete(n.id, it->second, segment.label, "cpu", segment.start,
+        auto [it, inserted] = lanes.try_emplace(
+            segment.label,
+            Lane{static_cast<std::uint32_t>(lanes.size() + 1), std::string{segment.label}});
+        const Lane& lane = it->second;
+        if (inserted) recorder->setThreadName(n.id, lane.tid, lane.name);
+        recorder->complete(n.id, lane.tid, lane.name, "cpu", segment.start,
                            segment.end - segment.start);
       }
     }

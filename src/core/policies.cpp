@@ -4,49 +4,57 @@
 
 namespace nlft::tem {
 
+namespace {
+
+/// A task executed as one copy per job. The per-job state lives here, so the
+/// job's error and copy callbacks capture only this record and stay inside
+/// std::function's inline buffer.
+struct SingleCopyTask {
+  CopyBehavior behavior;
+  std::function<void()> onError;  ///< reaction to any detected error
+  rt::Job* job = nullptr;         ///< the job in flight
+  CopyPlan plan;                  ///< its copy's plan
+};
+
+void runSingleCopy(SingleCopyTask& task, rt::Job& job) {
+  task.job = &job;
+  job.setErrorHandler([&task](const rt::ErrorEvent&) { task.onError(); });
+  task.plan = task.behavior(CopyContext{job.index(), 1});
+  job.runCopy(task.plan.executionTime, [&task](rt::CopyStop stop) {
+    if (stop == rt::CopyStop::Aborted) return;
+    if (stop != rt::CopyStop::Completed || task.plan.end == CopyPlan::End::DetectedError) {
+      task.onError();
+      return;
+    }
+    task.job->complete(std::move(task.plan.result));
+  });
+}
+
+}  // namespace
+
 rt::TaskId FailSilentExecutor::addTask(rt::TaskConfig taskConfig, CopyBehavior behavior) {
   if (!behavior) throw std::invalid_argument("FailSilentExecutor: null behavior");
-  auto shared = std::make_shared<CopyBehavior>(std::move(behavior));
-  return kernel_.addTask(std::move(taskConfig), [this, shared](rt::Job& job) {
-    auto failSilent = [this] {
-      ++failSilentEvents_;
-      // Fail-silent semantics: the node stops producing any output.
-      kernel_.reportKernelError({rt::ErrorEvent::Source::External, 0});
-    };
-    job.setErrorHandler([failSilent](const rt::ErrorEvent&) { failSilent(); });
-    const CopyPlan plan = (*shared)(CopyContext{job.index(), 1});
-    job.runCopy(plan.executionTime, [&job, plan, failSilent](rt::CopyStop stop) {
-      if (stop == rt::CopyStop::Aborted) return;
-      if (stop != rt::CopyStop::Completed || plan.end == CopyPlan::End::DetectedError) {
-        failSilent();
-        return;
-      }
-      job.complete(plan.result);
-    });
-  });
+  auto task = std::make_shared<SingleCopyTask>();
+  task->behavior = std::move(behavior);
+  task->onError = [this] {
+    ++failSilentEvents_;
+    // Fail-silent semantics: the node stops producing any output.
+    kernel_.reportKernelError({rt::ErrorEvent::Source::External, 0});
+  };
+  return kernel_.addTask(std::move(taskConfig),
+                         [task](rt::Job& job) { runSingleCopy(*task, job); });
 }
 
 rt::TaskId addNonCriticalTask(rt::RtKernel& kernel, rt::TaskConfig taskConfig,
                               CopyBehavior behavior) {
   if (!behavior) throw std::invalid_argument("addNonCriticalTask: null behavior");
   taskConfig.criticality = rt::Criticality::NonCritical;
-  auto shared = std::make_shared<CopyBehavior>(std::move(behavior));
-  // The task id is only known after addTask returns; capture via shared slot.
-  auto idSlot = std::make_shared<rt::TaskId>();
-  const rt::TaskId id = kernel.addTask(std::move(taskConfig), [&kernel, shared, idSlot](rt::Job& job) {
-    auto shutdown = [&kernel, idSlot] { kernel.disableTask(*idSlot); };
-    job.setErrorHandler([shutdown](const rt::ErrorEvent&) { shutdown(); });
-    const CopyPlan plan = (*shared)(CopyContext{job.index(), 1});
-    job.runCopy(plan.executionTime, [&job, plan, shutdown](rt::CopyStop stop) {
-      if (stop == rt::CopyStop::Aborted) return;
-      if (stop != rt::CopyStop::Completed || plan.end == CopyPlan::End::DetectedError) {
-        shutdown();
-        return;
-      }
-      job.complete(plan.result);
-    });
-  });
-  *idSlot = id;
+  auto task = std::make_shared<SingleCopyTask>();
+  task->behavior = std::move(behavior);
+  const rt::TaskId id =
+      kernel.addTask(std::move(taskConfig), [task](rt::Job& job) { runSingleCopy(*task, job); });
+  // The task id is only known after addTask returns.
+  task->onError = [&kernel, id] { kernel.disableTask(id); };
   return id;
 }
 

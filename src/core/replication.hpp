@@ -21,6 +21,7 @@
 #include <functional>
 #include <map>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "util/time.hpp"
@@ -41,6 +42,13 @@ class DuplexArbiter {
   /// to deliver at this point (first arrival, or matching second copy).
   [[nodiscard]] std::optional<std::vector<std::uint32_t>> offer(
       int replica, std::uint64_t sequence, std::vector<std::uint32_t> payload, SimTime now);
+
+  /// offer() without copying the payload: returns true when the arbiter
+  /// delivers at this point. A delivered payload is always the offered one
+  /// (a first arrival, or a second copy equal to the held first), so the
+  /// caller reads it from its own `payload`.
+  [[nodiscard]] bool accept(int replica, std::uint64_t sequence,
+                            std::span<const std::uint32_t> payload, SimTime now);
 
   /// Flushes timed-out pending sequences; returns the payloads that are
   /// released single-source (partner missing). Call periodically.
@@ -72,10 +80,15 @@ class DuplexArbiter {
     SimTime arrivedAt;
   };
 
+  [[nodiscard]] bool settled(std::uint64_t sequence) const;
+  void settle(std::uint64_t sequence);
+
   Policy policy_;
   Duration window_;
   std::map<std::uint64_t, Pending> pending_;
-  std::map<std::uint64_t, SimTime> settled_;  // delivered/flagged sequences
+  /// Delivered/flagged sequences, sorted ascending (they settle nearly in
+  /// order, so insertion is an append in practice).
+  std::vector<std::uint64_t> settled_;
   std::uint64_t delivered_ = 0;
   std::uint64_t duplicatesDropped_ = 0;
   std::uint64_t mismatches_ = 0;

@@ -18,4 +18,8 @@ using TaskResult = std::vector<std::uint32_t>;
 /// at least two candidates agree on, or nullopt when all differ pairwise.
 [[nodiscard]] std::optional<TaskResult> majorityVote(std::span<const TaskResult> candidates);
 
+/// majorityVote() without the copy: the index of the winning candidate (the
+/// first one that another candidate agrees with).
+[[nodiscard]] std::optional<std::size_t> majorityIndex(std::span<const TaskResult> candidates);
+
 }  // namespace nlft::tem

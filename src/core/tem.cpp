@@ -5,16 +5,6 @@
 
 namespace nlft::tem {
 
-/// Mutable state of one job's TEM execution, shared by the copy callbacks.
-struct JobRun {
-  int copiesStarted = 0;
-  std::vector<TaskResult> results;
-  bool sawMismatch = false;
-  bool sawDetectedError = false;
-
-  [[nodiscard]] bool hadError() const { return sawMismatch || sawDetectedError; }
-};
-
 TemExecutor::TemExecutor(rt::RtKernel& kernel, TemConfig config)
     : kernel_{kernel}, config_{config} {
   if (config_.maxCopies < 2) throw std::invalid_argument("TemExecutor: maxCopies must be >= 2");
@@ -30,6 +20,7 @@ rt::TaskId TemExecutor::addCriticalTask(rt::TaskConfig taskConfig, CopyBehavior 
   auto state = std::make_unique<TaskState>();
   TaskState* raw = state.get();
   state->behavior = std::move(behavior);
+  state->results.reserve(static_cast<std::size_t>(config_.maxCopies));
   state->id = kernel_.addTask(std::move(taskConfig),
                               [this, raw](rt::Job& job) { runJob(*raw, job); });
   tasks_.push_back(std::move(state));
@@ -45,9 +36,13 @@ const TemStats& TemExecutor::stats(rt::TaskId task) const {
 
 void TemExecutor::runJob(TaskState& state, rt::Job& job) {
   state.stats.jobs++;
-  auto run = std::make_shared<JobRun>();
+  state.job = &job;
+  state.copiesStarted = 0;
+  state.results.clear();
+  state.sawMismatch = false;
+  state.sawDetectedError = false;
 
-  job.setAbortHandler([this, &state, run] {
+  job.setAbortHandler([this, &state] {
     state.stats.omissionsAborted++;
     if (onJobError_) onJobError_(state.id, true);
   });
@@ -55,20 +50,25 @@ void TemExecutor::runJob(TaskState& state, rt::Job& job) {
   // Errors reported while a copy runs (hardware EDM, ECC, MMU, integrity
   // checks): terminate the copy at once — scenario (iii)/(iv). Remaining
   // copy time is reclaimed because the CPU work item is cancelled.
-  job.setErrorHandler([this, &state, run, &job](const rt::ErrorEvent&) {
-    run->sawDetectedError = true;
-    state.stats.edmDetectedErrors++;
-    if (config_.restoreContextOnEdmError) state.stats.contextRestores++;
-    if (job.copyActive()) {
-      job.killRunningCopy();  // its onStop(Killed) continues the recovery
+  job.setErrorHandler([this, &state](const rt::ErrorEvent&) {
+    onDetectedError(state);
+    if (state.job->copyActive()) {
+      state.job->killRunningCopy();  // its onStop(Killed) continues the recovery
     }
   });
 
-  startCopy(state, job, run);
+  startCopy(state);
 }
 
-void TemExecutor::startCopy(TaskState& state, rt::Job& job, std::shared_ptr<JobRun> run) {
-  const CopyContext context{job.index(), ++run->copiesStarted};
+void TemExecutor::onDetectedError(TaskState& state) {
+  state.sawDetectedError = true;
+  state.stats.edmDetectedErrors++;
+  if (config_.restoreContextOnEdmError) state.stats.contextRestores++;
+}
+
+void TemExecutor::startCopy(TaskState& state) {
+  rt::Job& job = *state.job;
+  const CopyContext context{job.index(), ++state.copiesStarted};
   if (context.copyIndex == 1) {
     state.stats.firstCopies++;
   } else if (context.copyIndex == 2) {
@@ -76,93 +76,84 @@ void TemExecutor::startCopy(TaskState& state, rt::Job& job, std::shared_ptr<JobR
   } else {
     state.stats.thirdCopies++;
   }
-  const CopyPlan plan = state.behavior(context);
+  state.plan = state.behavior(context);
 
   // Comparison (after the second and later copies) is charged as CPU time
   // together with the copy itself.
-  Duration work = plan.executionTime;
+  Duration work = state.plan.executionTime;
   if (context.copyIndex >= 2) work += config_.checkOverhead;
 
-  job.runCopy(work, [this, &state, &job, run, plan](rt::CopyStop stop) {
-    auto deliver = [&](TaskResult result) {
-      if (!run->hadError()) {
-        state.stats.deliveredCleanly++;
-      } else if (run->sawMismatch && run->results.size() >= 3) {
-        state.stats.maskedByVote++;
-      } else {
-        state.stats.maskedByReplacement++;
+  job.runCopy(work, [this, &state](rt::CopyStop stop) { onCopyStop(state, stop); });
+}
+
+void TemExecutor::notifyJobEnd(TaskState& state, bool hadError) {
+  if (onJobError_) onJobError_(state.id, hadError);
+}
+
+void TemExecutor::onCopyStop(TaskState& state, rt::CopyStop stop) {
+  rt::Job& job = *state.job;
+  switch (stop) {
+    case rt::CopyStop::Aborted:
+      // The kernel's deadline monitor already omitted the job and invoked
+      // the abort handler; nothing more to do.
+      return;
+    case rt::CopyStop::Killed:
+      // Terminated by the error handler; fall through to recovery.
+      break;
+    case rt::CopyStop::BudgetOverrun:
+      // The execution-time monitor is itself an EDM (Table 1).
+      onDetectedError(state);
+      break;
+    case rt::CopyStop::Completed:
+      if (state.plan.end == CopyPlan::End::DetectedError) {
+        // The EDM fired after the copy consumed plan.executionTime.
+        onDetectedError(state);
+        break;  // discard: the copy produced no trustworthy result
       }
-      const bool hadError = run->hadError();
-      job.complete(std::move(result));  // deletes the job: last action
-      if (onJobError_) onJobError_(state.id, hadError);
-    };
-    auto omitNoTime = [&] {
-      state.stats.omissionsNoTime++;
-      job.omit();
-      if (onJobError_) onJobError_(state.id, true);
-    };
-    auto omitVoteFailed = [&] {
-      state.stats.omissionsVoteFailed++;
-      job.omit();
-      if (onJobError_) onJobError_(state.id, true);
-    };
-    // Can another copy be started and still meet the deadline? The kernel
-    // checks the deadline after every error (Section 2.5); the estimate is
-    // one copy worst case plus the comparison/vote.
-    auto anotherCopyFeasible = [&] {
-      if (run->copiesStarted >= config_.maxCopies) return false;
-      const Duration estimate = job.config().wcet + config_.checkOverhead;
-      return job.timeToDeadline() >= estimate;
-    };
-
-    switch (stop) {
-      case rt::CopyStop::Aborted:
-        // The kernel's deadline monitor already omitted the job and invoked
-        // the abort handler; nothing more to do.
-        return;
-      case rt::CopyStop::Killed:
-        // Terminated by the error handler; fall through to recovery.
-        break;
-      case rt::CopyStop::BudgetOverrun:
-        // The execution-time monitor is itself an EDM (Table 1).
-        run->sawDetectedError = true;
-        state.stats.edmDetectedErrors++;
-        if (config_.restoreContextOnEdmError) state.stats.contextRestores++;
-        break;
-      case rt::CopyStop::Completed:
-        if (plan.end == CopyPlan::End::DetectedError) {
-          // The EDM fired after the copy consumed plan.executionTime.
-          run->sawDetectedError = true;
-          state.stats.edmDetectedErrors++;
-          if (config_.restoreContextOnEdmError) state.stats.contextRestores++;
-          break;  // discard: the copy produced no trustworthy result
+      state.results.push_back(std::move(state.plan.result));
+      if (state.results.size() >= 2) {
+        if (state.results.size() == 2 && !resultsMatch(state.results[0], state.results[1])) {
+          state.sawMismatch = true;
+          state.stats.comparisonMismatches++;
         }
-        run->results.push_back(plan.result);
-        if (run->results.size() >= 2) {
-          if (run->results.size() == 2 && !resultsMatch(run->results[0], run->results[1])) {
-            run->sawMismatch = true;
-            state.stats.comparisonMismatches++;
+        if (const auto voted = majorityIndex(state.results)) {
+          if (!state.hadError()) {
+            state.stats.deliveredCleanly++;
+          } else if (state.sawMismatch && state.results.size() >= 3) {
+            state.stats.maskedByVote++;
+          } else {
+            state.stats.maskedByReplacement++;
           }
-          if (auto voted = majorityVote(run->results)) {
-            deliver(std::move(*voted));
-            return;
-          }
-          // All results differ pairwise.
-          if (run->copiesStarted >= config_.maxCopies) {
-            omitVoteFailed();
-            return;
-          }
+          const bool hadError = state.hadError();
+          job.complete(std::move(state.results[*voted]));  // retires the job: last use
+          notifyJobEnd(state, hadError);
+          return;
         }
-        break;
-    }
+        // All results differ pairwise.
+        if (state.copiesStarted >= config_.maxCopies) {
+          state.stats.omissionsVoteFailed++;
+          job.omit();
+          notifyJobEnd(state, true);
+          return;
+        }
+      }
+      break;
+  }
 
-    // Need another copy (first result pending, mismatch, or detected error).
-    if (anotherCopyFeasible()) {
-      startCopy(state, job, run);
-    } else {
-      omitNoTime();
-    }
-  });
+  // Need another copy (first result pending, mismatch, or detected error).
+  // Can another copy be started and still meet the deadline? The kernel
+  // checks the deadline after every error (Section 2.5); the estimate is
+  // one copy worst case plus the comparison/vote.
+  const bool anotherCopyFeasible =
+      state.copiesStarted < config_.maxCopies &&
+      job.timeToDeadline() >= job.config().wcet + config_.checkOverhead;
+  if (anotherCopyFeasible) {
+    startCopy(state);
+  } else {
+    state.stats.omissionsNoTime++;
+    job.omit();
+    notifyJobEnd(state, true);
+  }
 }
 
 }  // namespace nlft::tem

@@ -98,14 +98,30 @@ class TemExecutor {
   void setJobErrorCallback(JobErrorCallback callback) { onJobError_ = std::move(callback); }
 
  private:
+  /// One critical task and the TEM execution of its job in flight. The
+  /// kernel runs at most one job per task at a time, so the per-job state
+  /// lives here and is reset at every release; the copy, error and abort
+  /// callbacks capture only (executor, task state), which keeps them inside
+  /// std::function's inline buffer.
   struct TaskState {
     rt::TaskId id;
     CopyBehavior behavior;
     TemStats stats;
+    rt::Job* job = nullptr;
+    int copiesStarted = 0;
+    std::vector<TaskResult> results;  ///< capacity reused across jobs
+    bool sawMismatch = false;
+    bool sawDetectedError = false;
+    CopyPlan plan;  ///< plan of the running copy
+
+    [[nodiscard]] bool hadError() const { return sawMismatch || sawDetectedError; }
   };
 
   void runJob(TaskState& state, rt::Job& job);
-  void startCopy(TaskState& state, rt::Job& job, std::shared_ptr<struct JobRun> run);
+  void startCopy(TaskState& state);
+  void onCopyStop(TaskState& state, rt::CopyStop stop);
+  void onDetectedError(TaskState& state);
+  void notifyJobEnd(TaskState& state, bool hadError);
 
   rt::RtKernel& kernel_;
   TemConfig config_;

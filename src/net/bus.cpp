@@ -8,16 +8,15 @@
 
 namespace nlft::net {
 
-std::uint16_t frameCrc(const std::vector<std::uint32_t>& payload) {
-  std::vector<std::uint8_t> bytes;
-  bytes.reserve(payload.size() * 4);
+std::uint16_t frameCrc(std::span<const std::uint32_t> payload) {
+  std::uint16_t crc = 0xFFFF;
   for (const std::uint32_t word : payload) {
-    bytes.push_back(static_cast<std::uint8_t>(word));
-    bytes.push_back(static_cast<std::uint8_t>(word >> 8));
-    bytes.push_back(static_cast<std::uint8_t>(word >> 16));
-    bytes.push_back(static_cast<std::uint8_t>(word >> 24));
+    const std::uint8_t bytes[4] = {
+        static_cast<std::uint8_t>(word), static_cast<std::uint8_t>(word >> 8),
+        static_cast<std::uint8_t>(word >> 16), static_cast<std::uint8_t>(word >> 24)};
+    crc = util::crc16CcittUpdate(crc, bytes);
   }
-  return util::crc16Ccitt(bytes);
+  return crc;
 }
 
 void flipFrameBit(Frame& frame, std::uint32_t bitIndex) {
@@ -46,8 +45,30 @@ void TdmaBus::attach(NodeId node, ReceiveFn receive) {
   attached_.push_back({node, std::move(receive)});
 }
 
+namespace {
+constexpr auto kByNode = [](const auto& queue, NodeId node) { return queue.node < node; };
+}  // namespace
+
+TdmaBus::StaticQueue* TdmaBus::findStatic(NodeId node) {
+  const auto it = std::lower_bound(staticQueues_.begin(), staticQueues_.end(), node, kByNode);
+  return it != staticQueues_.end() && it->node == node ? &*it : nullptr;
+}
+
+std::vector<std::uint32_t>& TdmaBus::stageStatic(NodeId node) {
+  auto it = std::lower_bound(staticQueues_.begin(), staticQueues_.end(), node, kByNode);
+  if (it == staticQueues_.end() || it->node != node) {
+    it = staticQueues_.insert(it, StaticQueue{node, false, {}});
+  }
+  it->queued = true;
+  return it->payload;
+}
+
 void TdmaBus::sendStatic(NodeId node, std::vector<std::uint32_t> payload) {
-  pendingStatic_[node] = std::move(payload);
+  stageStatic(node) = std::move(payload);
+}
+
+void TdmaBus::sendStatic(NodeId node, std::span<const std::uint32_t> payload) {
+  stageStatic(node).assign(payload.begin(), payload.end());
 }
 
 void TdmaBus::sendDynamic(NodeId node, std::uint32_t priority, std::vector<std::uint32_t> payload) {
@@ -95,10 +116,11 @@ bool TdmaBus::injectionArmed() const {
 
 std::uint64_t TdmaBus::stateDigest() const {
   util::StateHash digest;
-  for (const auto& [node, payload] : pendingStatic_) {
-    digest.u64(node);
-    digest.u64(payload.size());
-    for (const std::uint32_t word : payload) digest.u64(word);
+  for (const StaticQueue& queue : staticQueues_) {
+    if (!queue.queued) continue;
+    digest.u64(queue.node);
+    digest.u64(queue.payload.size());
+    for (const std::uint32_t word : queue.payload) digest.u64(word);
   }
   for (const Frame& frame : pendingDynamic_) {
     digest.u64(frame.sender);
@@ -171,56 +193,64 @@ void TdmaBus::runStaticSlot(std::uint32_t slot) {
   }
 
   if (nodeSilent(owner)) return;
-  const auto it = pendingStatic_.find(owner);
-  if (it == pendingStatic_.end()) return;
-  if (collision) {
-    // The owner's frame is destroyed by the overlapping transmission;
-    // receivers see garbage and their CRC check drops it.
-    Frame destroyed;
-    destroyed.sender = owner;
-    destroyed.slot = slot;
-    destroyed.payload = std::move(it->second);
-    pendingStatic_.erase(it);
-    ++dropped_;
-    if (dropTap_) dropTap_(destroyed, "collision");
-    return;
-  }
+  StaticQueue* queue = findStatic(owner);
+  if (queue == nullptr || !queue->queued) return;
+  queue->queued = false;
   Frame frame;
   frame.sender = owner;
   frame.slot = slot;
-  frame.payload = std::move(it->second);
-  pendingStatic_.erase(it);
-  deliver(std::move(frame), takeCorruption(owner));
+  frame.payload.swap(queue->payload);
+  if (collision) {
+    // The owner's frame is destroyed by the overlapping transmission;
+    // receivers see garbage and their CRC check drops it.
+    ++dropped_;
+    if (dropTap_) dropTap_(frame, "collision");
+  } else {
+    deliver(frame, takeCorruption(owner));
+  }
+  // Hand the buffer back for the next cycle, unless a receiver already
+  // queued a fresh payload (and possibly grew staticQueues_) meanwhile.
+  queue = findStatic(owner);
+  if (!queue->queued) queue->payload.swap(frame.payload);
 }
 
 void TdmaBus::runDynamicSegment() {
   // Minislot arbitration: pending frames transmit in priority order; each
   // consumes one minislot. Frames beyond the segment capacity wait.
-  std::stable_sort(pendingDynamic_.begin(), pendingDynamic_.end(),
-                   [](const Frame& a, const Frame& b) { return a.priority < b.priority; });
+  if (pendingDynamic_.size() > 1) {
+    std::stable_sort(pendingDynamic_.begin(), pendingDynamic_.end(),
+                     [](const Frame& a, const Frame& b) { return a.priority < b.priority; });
+  }
   std::uint32_t used = 0;
-  std::deque<Frame> keep;
-  while (!pendingDynamic_.empty()) {
-    Frame frame = std::move(pendingDynamic_.front());
-    pendingDynamic_.pop_front();
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < pendingDynamic_.size(); ++i) {
+    Frame& frame = pendingDynamic_[i];
     if (nodeSilent(frame.sender)) continue;  // silent nodes transmit nothing
     if (used >= config_.dynamicMinislots) {
-      keep.push_back(std::move(frame));
+      if (kept != i) pendingDynamic_[kept] = std::move(frame);
+      ++kept;
       continue;
     }
     ++used;
     std::vector<std::uint32_t> flipBits = takeCorruption(frame.sender);
+    inFlight_.push_back(InFlight{std::move(frame), std::move(flipBits)});
     simulator_.scheduleAfter(config_.minislotLength * static_cast<std::int64_t>(used),
-                             [this, frame = std::move(frame),
-                              flipBits = std::move(flipBits)]() mutable {
-                               deliver(std::move(frame), std::move(flipBits));
-                             },
-                             sim::EventPriority::Network);
+                             [this] { deliverNextDynamic(); }, sim::EventPriority::Network);
   }
-  pendingDynamic_ = std::move(keep);
+  pendingDynamic_.erase(pendingDynamic_.begin() + static_cast<std::ptrdiff_t>(kept),
+                        pendingDynamic_.end());
 }
 
-void TdmaBus::deliver(Frame frame, std::vector<std::uint32_t> flipBits) {
+void TdmaBus::deliverNextDynamic() {
+  InFlight next = std::move(inFlight_[inFlightHead_++]);
+  if (inFlightHead_ == inFlight_.size()) {
+    inFlight_.clear();
+    inFlightHead_ = 0;
+  }
+  deliver(next.frame, next.flipBits);
+}
+
+void TdmaBus::deliver(Frame& frame, std::span<const std::uint32_t> flipBits) {
   // Transmission stamps the frame check sequence; injected corruption then
   // strikes the frame in transit (after the CRC is computed, as on a real
   // bus). Every receiver recomputes the CRC and drops the frame on mismatch

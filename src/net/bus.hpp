@@ -16,10 +16,9 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
-#include <optional>
+#include <span>
 #include <vector>
 
 #include "sim/simulator.hpp"
@@ -44,7 +43,7 @@ struct Frame {
 /// frame check sequence every transmitted frame carries. The generator
 /// polynomial 0x1021 has Hamming distance 4 over these frame sizes, so ANY
 /// 1-, 2- or 3-bit corruption is guaranteed to be caught at the receiver.
-[[nodiscard]] std::uint16_t frameCrc(const std::vector<std::uint32_t>& payload);
+[[nodiscard]] std::uint16_t frameCrc(std::span<const std::uint32_t> payload);
 
 /// Flips one bit of a frame in transit. The bit index space covers the
 /// payload first (32 bits per word, little-endian) and then the 16 CRC
@@ -72,6 +71,9 @@ class TdmaBus {
   /// a newer message replaces a pending one (freshest-value semantics, as in
   /// state message protocols).
   void sendStatic(NodeId node, std::vector<std::uint32_t> payload);
+  /// As above, copying `payload` into the node's slot buffer, whose capacity
+  /// is reused from cycle to cycle (no allocation in steady state).
+  void sendStatic(NodeId node, std::span<const std::uint32_t> payload);
 
   /// Queues an event-triggered frame for the dynamic segment. Lower priority
   /// value transmits first. Frames that do not fit wait for the next cycle.
@@ -147,19 +149,38 @@ class TdmaBus {
     NodeId node;
     ReceiveFn receive;
   };
+  /// A node's static-slot buffer; `queued` marks a payload awaiting the slot.
+  struct StaticQueue {
+    NodeId node = 0;
+    bool queued = false;
+    std::vector<std::uint32_t> payload;
+  };
+  /// A dynamic frame that won arbitration, awaiting the end of its minislot.
+  struct InFlight {
+    Frame frame;
+    std::vector<std::uint32_t> flipBits;
+  };
 
   void runStaticSlot(std::uint32_t slot);
   void runDynamicSegment();
-  void deliver(Frame frame, std::vector<std::uint32_t> flipBits);
+  /// Delivers the oldest in-flight dynamic frame (minislot deliveries fire
+  /// in arbitration order, so the in-flight list is FIFO).
+  void deliverNextDynamic();
+  void deliver(Frame& frame, std::span<const std::uint32_t> flipBits);
   void scheduleNextCycle();
   /// Consumes the pending corruption for `node` (empty = none pending).
   std::vector<std::uint32_t> takeCorruption(NodeId node);
+  /// The node's static-slot buffer, marked queued (created on first use).
+  std::vector<std::uint32_t>& stageStatic(NodeId node);
+  [[nodiscard]] StaticQueue* findStatic(NodeId node);
 
   sim::Simulator& simulator_;
   TdmaConfig config_;
   std::vector<Attached> attached_;
-  std::map<NodeId, std::vector<std::uint32_t>> pendingStatic_;
-  std::deque<Frame> pendingDynamic_;
+  std::vector<StaticQueue> staticQueues_;  ///< sorted by node
+  std::vector<Frame> pendingDynamic_;
+  std::vector<InFlight> inFlight_;
+  std::size_t inFlightHead_ = 0;
   std::map<NodeId, bool> silent_;
   std::map<NodeId, std::vector<std::uint32_t>> corruptNext_;
   std::map<NodeId, bool> babbling_;

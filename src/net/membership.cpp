@@ -53,6 +53,10 @@ void MembershipService::queueAppData(NodeId node, std::vector<std::uint32_t> dat
   nodes_.at(node).pendingAppData = std::move(data);
 }
 
+void MembershipService::queueAppData(NodeId node, std::span<const std::uint32_t> data) {
+  nodes_.at(node).pendingAppData.assign(data.begin(), data.end());
+}
+
 std::set<NodeId> MembershipService::membershipView(NodeId observer) const {
   const NodeState& state = nodes_.at(observer);
   std::set<NodeId> view;
@@ -141,12 +145,11 @@ void MembershipService::onCycle() {
   // Queue heartbeats (with piggybacked application data) for the new cycle.
   for (auto& [id, state] : nodes_) {
     if (!state.alive) continue;
-    std::vector<std::uint32_t> payload;
-    payload.reserve(1 + state.pendingAppData.size());
-    payload.push_back(kHeartbeatMagic);
-    payload.insert(payload.end(), state.pendingAppData.begin(), state.pendingAppData.end());
+    heartbeat_.clear();
+    heartbeat_.push_back(kHeartbeatMagic);
+    heartbeat_.insert(heartbeat_.end(), state.pendingAppData.begin(), state.pendingAppData.end());
     state.pendingAppData.clear();
-    bus_.sendStatic(id, std::move(payload));
+    bus_.sendStatic(id, std::span<const std::uint32_t>{heartbeat_});
   }
 }
 
@@ -158,8 +161,8 @@ void MembershipService::onFrame(NodeId receiver, const Frame& frame) {
   if (peerIt == state.peers.end()) return;
   peerIt->second.lastHeardCycle = bus_.cyclesCompleted();
   if (appReceive_ && frame.payload.size() > 1) {
-    const std::vector<std::uint32_t> data{frame.payload.begin() + 1, frame.payload.end()};
-    appReceive_(receiver, frame.sender, data);
+    appData_.assign(frame.payload.begin() + 1, frame.payload.end());
+    appReceive_(receiver, frame.sender, appData_);
   }
 }
 

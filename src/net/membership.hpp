@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <map>
 #include <set>
+#include <span>
 #include <vector>
 
 #include "net/bus.hpp"
@@ -44,6 +45,8 @@ class MembershipService {
 
   /// Queues application data to ride along the node's next heartbeat.
   void queueAppData(NodeId node, std::vector<std::uint32_t> data);
+  /// As above, copying `data` into the node's reusable buffer.
+  void queueAppData(NodeId node, std::span<const std::uint32_t> data);
 
   /// Membership view of `observer`: which peers it currently counts as
   /// members (the observer itself is always included while alive).
@@ -53,7 +56,8 @@ class MembershipService {
   [[nodiscard]] bool isMember(NodeId observer, NodeId peer) const;
 
   /// Application receive hook: called with (receiver, sender, data) for
-  /// every heartbeat frame carrying application data.
+  /// every heartbeat frame carrying application data. `data` is a buffer the
+  /// service reuses for every delivery: valid only during the call.
   using AppReceiveFn = std::function<void(NodeId, NodeId, const std::vector<std::uint32_t>&)>;
   void setAppReceive(AppReceiveFn fn) { appReceive_ = std::move(fn); }
 
@@ -94,6 +98,11 @@ class MembershipService {
   AppReceiveFn appReceive_;
   MembershipTap membershipTap_;
   bool started_ = false;
+  // Reused buffers: the heartbeat being queued and the application data
+  // handed to appReceive_ (capacity kept across cycles, no steady-state
+  // allocation).
+  std::vector<std::uint32_t> heartbeat_;
+  std::vector<std::uint32_t> appData_;
 };
 
 }  // namespace nlft::net

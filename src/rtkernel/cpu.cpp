@@ -11,10 +11,17 @@ Cpu::Cpu(sim::Simulator& simulator, Duration contextSwitchOverhead)
     throw std::invalid_argument("Cpu: negative context-switch overhead");
 }
 
-WorkId Cpu::post(int priority, Duration work, CompletionFn onComplete, std::string label) {
+std::uint32_t Cpu::intern(std::string_view label) {
+  const auto it = std::find(labels_.begin(), labels_.end(), label);
+  if (it != labels_.end()) return static_cast<std::uint32_t>(it - labels_.begin());
+  labels_.emplace_back(label);
+  return static_cast<std::uint32_t>(labels_.size() - 1);
+}
+
+WorkId Cpu::post(int priority, Duration work, CompletionFn onComplete, std::string_view label) {
   if (work < Duration{}) throw std::invalid_argument("Cpu: negative work");
   const WorkId id{nextId_++};
-  ready_.push_back(Item{id, priority, nextSeq_++, work, std::move(onComplete), std::move(label)});
+  ready_.push_back(Item{id, priority, nextSeq_++, work, std::move(onComplete), intern(label)});
   if (running_ && priority > running_->item.priority) preemptRunning();
   dispatch();
   return id;
@@ -35,7 +42,9 @@ bool Cpu::cancel(WorkId id) {
   return true;
 }
 
-std::string Cpu::runningLabel() const { return running_ ? running_->item.label : ""; }
+std::string Cpu::runningLabel() const {
+  return running_ ? labels_[running_->item.label] : std::string{};
+}
 
 void Cpu::dispatch() {
   if (running_ || ready_.empty()) return;
@@ -88,7 +97,7 @@ void Cpu::preemptRunning() {
 void Cpu::closeSegment() {
   const SimTime now = simulator_.now();
   if (now > running_->segmentStart) {
-    trace_.push_back({running_->item.label, running_->segmentStart, now});
+    trace_.push_back({labels_[running_->item.label], running_->segmentStart, now});
     busy_ += now - running_->segmentStart;
   }
 }

@@ -12,6 +12,7 @@
 #include <functional>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "sim/simulator.hpp"
@@ -28,9 +29,11 @@ struct WorkId {
   friend bool operator==(WorkId, WorkId) = default;
 };
 
-/// One contiguous interval of CPU time given to a work item.
+/// One contiguous interval of CPU time given to a work item. `label` views
+/// the label the owning Cpu interned at post(); it stays valid as long as
+/// that Cpu lives.
 struct ExecutionSegment {
-  std::string label;
+  std::string_view label;
   SimTime start;
   SimTime end;
 };
@@ -45,8 +48,9 @@ class Cpu {
 
   /// Enqueues `work` at `priority` (higher runs first; FIFO within equal
   /// priority). `onComplete` fires when the accumulated CPU time reaches
-  /// `work`. Returns an id usable with cancel().
-  WorkId post(int priority, Duration work, CompletionFn onComplete, std::string label);
+  /// `work`. Returns an id usable with cancel(). The label is interned: each
+  /// distinct label is stored once per Cpu, not once per post or segment.
+  WorkId post(int priority, Duration work, CompletionFn onComplete, std::string_view label);
 
   /// Cancels a queued or running work item (its completion never fires).
   /// Returns false if the item already completed or is unknown.
@@ -69,7 +73,7 @@ class Cpu {
     std::uint64_t seq;
     Duration remaining;
     CompletionFn onComplete;
-    std::string label;
+    std::uint32_t label;  ///< index into labels_
   };
   struct Running {
     Item item;
@@ -81,18 +85,22 @@ class Cpu {
   void preemptRunning();
   void onCompletion();
   void closeSegment();
+  std::uint32_t intern(std::string_view label);
 
   sim::Simulator& simulator_;
   Duration contextSwitch_;
   std::uint64_t nextId_ = 1;
   std::uint64_t nextSeq_ = 0;
-  std::deque<Item> ready_;
+  std::vector<Item> ready_;
   std::optional<Running> running_;
   std::vector<ExecutionSegment> trace_;
   Duration busy_{};
   std::uint64_t preemptions_ = 0;
   std::uint64_t dispatches_ = 0;
-  std::string lastDispatchedLabel_;
+  /// Interned labels; a deque so segment views stay valid as it grows.
+  /// Label 0 is the empty label, which is also "dispatched last" initially.
+  std::deque<std::string> labels_{std::string{}};
+  std::uint32_t lastDispatchedLabel_ = 0;
 };
 
 }  // namespace nlft::rt

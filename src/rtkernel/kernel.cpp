@@ -56,6 +56,15 @@ void Job::omit() {
   finish();
 }
 
+void Job::reuse(std::uint64_t index, SimTime release, SimTime deadline) {
+  index_ = index;
+  release_ = release;
+  deadline_ = deadline;
+  copyWork_ = WorkId{};
+  deadlineEvent_ = sim::EventId{};
+  finished_ = false;
+}
+
 void Job::finish() {
   finished_ = true;
   if (copyWork_.valid()) {
@@ -144,6 +153,14 @@ void RtKernel::retire(std::unique_ptr<Job> job) {
     retireCleanupScheduled_ = true;
     simulator_.scheduleAfter(Duration{}, [this] {
       retireCleanupScheduled_ = false;
+      for (std::unique_ptr<Job>& retired : retired_) {
+        // Drop the finished job's closures now, as destruction would.
+        retired->copyStop_ = nullptr;
+        retired->errorHandler_ = nullptr;
+        retired->abortHandler_ = nullptr;
+        const std::uint32_t task = retired->task_.value;
+        tasks_[task].spareJobs.push_back(std::move(retired));
+      }
       retired_.clear();
     }, sim::EventPriority::Observer);
   }
@@ -182,31 +199,39 @@ void RtKernel::release(std::uint32_t taskIndex) {
 
   const SimTime now = simulator_.now();
   const SimTime deadline = now + task.config.relativeDeadline;
-  task.activeJob.reset(new Job{*this, TaskId{taskIndex}, task.nextJobIndex++, now, deadline});
+  const std::uint64_t index = task.nextJobIndex++;
+  if (task.spareJobs.empty()) {
+    task.activeJob.reset(new Job{*this, TaskId{taskIndex}, index, now, deadline});
+  } else {
+    task.activeJob = std::move(task.spareJobs.back());
+    task.spareJobs.pop_back();
+    task.activeJob->reuse(index, now, deadline);
+  }
   Job* job = task.activeJob.get();
 
   job->deadlineEvent_ = simulator_.scheduleAt(
-      deadline,
-      [this, taskIndex, job] {
-        TaskEntry& task = tasks_[taskIndex];
-        if (task.activeJob.get() != job) return;  // already finished
-        task.stats.deadlineMisses++;
-        if (job->copyWork_.valid()) {
-          cpu_.cancel(job->copyWork_);
-          job->copyWork_ = WorkId{};
-          auto stop = std::move(job->copyStop_);
-          job->copyStop_ = nullptr;
-          if (stop) stop(CopyStop::Aborted);
-        }
-        if (task.activeJob.get() != job) return;  // stop callback finished it
-        auto abortHandler = std::move(job->abortHandler_);
-        job->abortHandler_ = nullptr;
-        job->omit();
-        if (abortHandler) abortHandler();
-      },
+      deadline, [job, index] { job->kernel_.onDeadline(job, index); },
       sim::EventPriority::Kernel);
 
   task.handler(*job);
+}
+
+void RtKernel::onDeadline(Job* job, std::uint64_t index) {
+  TaskEntry& task = tasks_[job->task_.value];
+  if (task.activeJob.get() != job || job->index_ != index) return;  // already finished
+  task.stats.deadlineMisses++;
+  if (job->copyWork_.valid()) {
+    cpu_.cancel(job->copyWork_);
+    job->copyWork_ = WorkId{};
+    auto stop = std::move(job->copyStop_);
+    job->copyStop_ = nullptr;
+    if (stop) stop(CopyStop::Aborted);
+  }
+  if (task.activeJob.get() != job) return;  // stop callback finished it
+  auto abortHandler = std::move(job->abortHandler_);
+  job->abortHandler_ = nullptr;
+  job->omit();
+  if (abortHandler) abortHandler();
 }
 
 void RtKernel::releaseSporadic(TaskId task) {

@@ -119,6 +119,9 @@ class Job {
       : kernel_{kernel}, task_{task}, index_{index}, release_{release}, deadline_{deadline} {}
 
   void finish();
+  /// Re-arms a retired Job object for a new release of the same task (the
+  /// kernel recycles Job objects instead of allocating one per release).
+  void reuse(std::uint64_t index, SimTime release, SimTime deadline);
 
   RtKernel& kernel_;
   TaskId task_;
@@ -206,16 +209,19 @@ class RtKernel {
     TaskStats stats;
     std::uint64_t nextJobIndex = 0;
     std::unique_ptr<Job> activeJob;
+    std::vector<std::unique_ptr<Job>> spareJobs;  ///< retired, ready for reuse
     sim::EventId nextRelease{};
     bool disabled = false;
   };
 
   void release(std::uint32_t taskIndex);
+  /// The deadline monitor of one job; `index` guards against a recycled Job.
+  void onDeadline(Job* job, std::uint64_t index);
   void scheduleNextRelease(std::uint32_t taskIndex, SimTime at);
   TaskEntry& entry(TaskId task);
   const TaskEntry& entry(TaskId task) const;
 
-  /// Jobs are destroyed deferred (at the end of the current event) because
+  /// Jobs are recycled deferred (at the end of the current event) because
   /// finish() is regularly reached from inside the job's own callbacks.
   void retire(std::unique_ptr<Job> job);
 

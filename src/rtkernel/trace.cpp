@@ -22,7 +22,7 @@ std::string renderGantt(const std::vector<ExecutionSegment>& trace, Duration res
   std::vector<std::string> labels;
   for (const ExecutionSegment& segment : trace) {
     if (std::find(labels.begin(), labels.end(), segment.label) == labels.end()) {
-      labels.push_back(segment.label);
+      labels.emplace_back(segment.label);
     }
   }
   std::size_t width = 0;

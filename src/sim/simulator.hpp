@@ -8,13 +8,21 @@
 // The real-time kernel, the TDMA bus and the fault injector all share one
 // Simulator, so cross-component ordering (e.g. "fault strikes during the
 // second task copy") is exact.
+//
+// Storage is a slot pool tagged by generation, so the steady state of a run
+// allocates nothing: each pending event owns one slot (its callback plus a
+// generation counter), freed slots are recycled through a free list, and the
+// heap orders plain (time, priority, seq, slot, generation) records. Firing
+// or cancelling an event bumps its slot's generation, which turns every heap
+// record and EventId still naming the old generation stale; stale records
+// are skipped when they reach the top of the heap. Callbacks are
+// std::function; libstdc++ stores a trivially copyable closure of up to 16
+// bytes (two pointers) inline, so such a closure costs no allocation either.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <queue>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "util/time.hpp"
@@ -25,6 +33,12 @@ using util::Duration;
 using util::SimTime;
 
 /// Handle for a scheduled event; valid until the event fires or is cancelled.
+///
+/// Packs `(generation << 32) | slot`. Generations start at 1 (so a live id is
+/// never 0) and are 32 bits wide: they wrap after 2^32 reuses of one slot,
+/// skipping 0. A stale id kept across exactly that many reuses of its slot
+/// would alias the slot's current event; no run comes near it (a campaign
+/// stop reuses each slot a few thousand times).
 struct EventId {
   std::uint64_t value = 0;
   [[nodiscard]] bool valid() const { return value != 0; }
@@ -58,7 +72,8 @@ class Simulator {
   EventId scheduleAfter(Duration delay, Callback cb,
                         EventPriority priority = EventPriority::Application);
 
-  /// Cancels a pending event. Returns false if it already fired or was
+  /// Cancels a pending event. Returns false if it already fired (including
+  /// an event cancelling itself from inside its own callback) or was
   /// cancelled (safe to call either way).
   bool cancel(EventId id);
 
@@ -70,15 +85,24 @@ class Simulator {
   /// Runs all events (use only for workloads that are known to terminate).
   void runAll();
 
-  [[nodiscard]] std::size_t pendingEvents() const { return queue_.size() - cancelled_.size(); }
+  /// Scheduled events that have neither fired nor been cancelled.
+  [[nodiscard]] std::size_t pendingEvents() const { return pending_; }
   [[nodiscard]] std::uint64_t processedEvents() const { return processed_; }
+  /// Successful cancel() calls so far.
+  [[nodiscard]] std::uint64_t cancelledEvents() const { return cancelled_; }
 
  private:
+  struct Slot {
+    Callback callback;
+    std::uint32_t generation = 1;
+    bool live = false;
+  };
   struct Entry {
     SimTime at;
     int priority;
     std::uint64_t seq;
-    std::uint64_t id;
+    std::uint32_t slot;
+    std::uint32_t generation;
   };
   struct EntryLater {
     bool operator()(const Entry& a, const Entry& b) const {
@@ -88,15 +112,23 @@ class Simulator {
     }
   };
 
-  void purgeCancelledTop();
+  [[nodiscard]] bool stale(const Entry& entry) const {
+    const Slot& slot = slots_[entry.slot];
+    return !slot.live || slot.generation != entry.generation;
+  }
+  /// Ends the slot's current event: drops its callback, bumps the generation
+  /// and returns the slot to the free list.
+  void releaseSlot(std::uint32_t slot);
+  void popStaleTop();
 
   SimTime now_;
-  std::uint64_t nextId_ = 1;
   std::uint64_t nextSeq_ = 0;
   std::uint64_t processed_ = 0;
+  std::uint64_t cancelled_ = 0;
+  std::size_t pending_ = 0;
   std::priority_queue<Entry, std::vector<Entry>, EntryLater> queue_;
-  std::unordered_set<std::uint64_t> cancelled_;
-  std::unordered_map<std::uint64_t, Callback> callbacks_;
+  std::vector<Slot> slots_;
+  std::vector<std::uint32_t> freeSlots_;
 };
 
 }  // namespace nlft::sim

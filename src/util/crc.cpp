@@ -37,7 +37,10 @@ std::uint32_t crc32Update(std::uint32_t crc, std::span<const std::uint8_t> data)
 std::uint32_t crc32(std::span<const std::uint8_t> data) { return crc32Update(0, data); }
 
 std::uint16_t crc16Ccitt(std::span<const std::uint8_t> data) {
-  std::uint16_t crc = 0xFFFF;
+  return crc16CcittUpdate(0xFFFF, data);
+}
+
+std::uint16_t crc16CcittUpdate(std::uint16_t crc, std::span<const std::uint8_t> data) {
   for (std::uint8_t byte : data) {
     crc ^= static_cast<std::uint16_t>(byte) << 8;
     for (int bit = 0; bit < 8; ++bit) {

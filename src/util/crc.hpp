@@ -20,6 +20,11 @@ namespace nlft::util {
 /// CRC-16-CCITT (polynomial 0x1021, init 0xFFFF) as used by many field buses.
 [[nodiscard]] std::uint16_t crc16Ccitt(std::span<const std::uint8_t> data);
 
+/// Incremental CRC-16-CCITT: start from 0xFFFF, pass the previous return
+/// value back in for each further chunk.
+[[nodiscard]] std::uint16_t crc16CcittUpdate(std::uint16_t crc,
+                                             std::span<const std::uint8_t> data);
+
 /// Convenience: CRC-32 over an array of 32-bit words (little-endian bytes).
 [[nodiscard]] std::uint32_t crc32Words(std::span<const std::uint32_t> words);
 

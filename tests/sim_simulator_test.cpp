@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <optional>
+#include <tuple>
 #include <vector>
+
+#include "util/rng.hpp"
 
 namespace nlft::sim {
 namespace {
@@ -147,6 +153,159 @@ TEST(Simulator, SameTimeCancellationHonoursPriority) {
   simulator.scheduleAt(t, [&] { simulator.cancel(app); }, EventPriority::FaultInjection);
   simulator.runAll();
   EXPECT_FALSE(appRan);
+}
+
+TEST(Simulator, StaleIdDoesNotCancelEventReusingItsSlot) {
+  Simulator simulator;
+  const EventId fired = simulator.scheduleAt(SimTime::fromUs(10), [] {});
+  simulator.runAll();
+  // The freed slot is reused by the next schedule, under a new generation.
+  bool newerRan = false;
+  const EventId newer = simulator.scheduleAt(SimTime::fromUs(20), [&] { newerRan = true; });
+  EXPECT_NE(fired, newer);
+  EXPECT_EQ(static_cast<std::uint32_t>(fired.value), static_cast<std::uint32_t>(newer.value));
+  EXPECT_FALSE(simulator.cancel(fired));
+  EXPECT_EQ(simulator.pendingEvents(), 1u);
+  simulator.runAll();
+  EXPECT_TRUE(newerRan);
+}
+
+TEST(Simulator, StaleIdOfCancelledEventDoesNotCancelReuser) {
+  Simulator simulator;
+  const EventId cancelled = simulator.scheduleAt(SimTime::fromUs(10), [] {});
+  EXPECT_TRUE(simulator.cancel(cancelled));
+  bool newerRan = false;
+  simulator.scheduleAt(SimTime::fromUs(10), [&] { newerRan = true; });
+  EXPECT_FALSE(simulator.cancel(cancelled));
+  simulator.runAll();
+  EXPECT_TRUE(newerRan);
+  EXPECT_EQ(simulator.cancelledEvents(), 1u);
+}
+
+TEST(Simulator, EventCancellingItselfReturnsFalse) {
+  Simulator simulator;
+  EventId self{};
+  std::optional<bool> cancelResult;
+  self = simulator.scheduleAt(SimTime::fromUs(5), [&] { cancelResult = simulator.cancel(self); });
+  simulator.runAll();
+  EXPECT_EQ(cancelResult, std::optional<bool>{false});
+  EXPECT_EQ(simulator.processedEvents(), 1u);
+  EXPECT_EQ(simulator.cancelledEvents(), 0u);
+}
+
+TEST(Simulator, PendingCountExactUnderCancelAndReuse) {
+  Simulator simulator;
+  std::vector<EventId> ids;
+  for (int i = 0; i < 8; ++i) {
+    ids.push_back(simulator.scheduleAt(SimTime::fromUs(100 + i), [] {}));
+  }
+  EXPECT_EQ(simulator.pendingEvents(), 8u);
+  for (int i = 0; i < 8; i += 2) EXPECT_TRUE(simulator.cancel(ids[static_cast<std::size_t>(i)]));
+  EXPECT_EQ(simulator.pendingEvents(), 4u);
+  // Refill the four freed slots; the cancelled records are still in the heap.
+  for (int i = 0; i < 4; ++i) simulator.scheduleAt(SimTime::fromUs(50 + i), [] {});
+  EXPECT_EQ(simulator.pendingEvents(), 8u);
+  for (int i = 0; i < 8; i += 2) EXPECT_FALSE(simulator.cancel(ids[static_cast<std::size_t>(i)]));
+  EXPECT_EQ(simulator.pendingEvents(), 8u);
+  simulator.runUntil(SimTime::fromUs(60));
+  EXPECT_EQ(simulator.pendingEvents(), 4u);
+  simulator.runAll();
+  EXPECT_EQ(simulator.pendingEvents(), 0u);
+  EXPECT_EQ(simulator.processedEvents(), 8u);
+  EXPECT_EQ(simulator.cancelledEvents(), 4u);
+}
+
+/// Naive reference: a vector kept sorted by (time, priority, seq).
+class ReferenceQueue {
+ public:
+  void schedule(std::int64_t at, int priority, int token) {
+    const Entry entry{at, priority, nextSeq_++, token};
+    entries_.insert(std::upper_bound(entries_.begin(), entries_.end(), entry), entry);
+  }
+  bool cancel(int token) {
+    const auto it = std::find_if(entries_.begin(), entries_.end(),
+                                 [token](const Entry& e) { return e.token == token; });
+    if (it == entries_.end()) return false;
+    entries_.erase(it);
+    return true;
+  }
+  /// Pops the next event: (time, token), or nullopt when empty.
+  std::optional<std::pair<std::int64_t, int>> step() {
+    if (entries_.empty()) return std::nullopt;
+    const Entry next = entries_.front();
+    entries_.erase(entries_.begin());
+    return std::pair{next.at, next.token};
+  }
+  [[nodiscard]] std::size_t size() const { return entries_.size(); }
+
+ private:
+  struct Entry {
+    std::int64_t at;
+    int priority;
+    std::uint64_t seq;
+    int token;
+    bool operator<(const Entry& o) const {
+      return std::tie(at, priority, seq) < std::tie(o.at, o.priority, o.seq);
+    }
+  };
+  std::vector<Entry> entries_;
+  std::uint64_t nextSeq_ = 0;
+};
+
+TEST(Simulator, RandomizedDifferentialAgainstSortedVector) {
+  constexpr int kOperations = 120'000;
+  constexpr EventPriority kPriorities[] = {EventPriority::FaultInjection, EventPriority::Hardware,
+                                           EventPriority::Kernel,         EventPriority::Network,
+                                           EventPriority::Application,    EventPriority::Observer};
+  util::Rng rng{20260417};
+  Simulator simulator;
+  ReferenceQueue reference;
+  std::vector<EventId> ids;  // token -> id
+  std::vector<int> fired;
+
+  // Every fourth event schedules a child from inside its callback, exercising
+  // slot reuse while the parent's slot has just been freed.
+  auto scheduleBoth = [&](auto& self, std::int64_t at, int priorityIndex) -> void {
+    const int token = static_cast<int>(ids.size());
+    const EventPriority priority = kPriorities[priorityIndex];
+    ids.push_back(simulator.scheduleAt(
+        SimTime::fromUs(at),
+        [&, token, &self = self] {
+          fired.push_back(token);
+          if (token % 4 == 0) {
+            self(self, simulator.now().us() + token % 7, (token / 4) % 6);
+          }
+        },
+        priority));
+    reference.schedule(at, static_cast<int>(priorityIndex), token);
+  };
+
+  for (int op = 0; op < kOperations; ++op) {
+    const std::uint64_t choice = rng.uniformInt(10);
+    if (choice < 4) {
+      scheduleBoth(scheduleBoth,
+                   simulator.now().us() + static_cast<std::int64_t>(rng.uniformInt(40)),
+                   static_cast<int>(rng.uniformInt(6)));
+    } else if (choice < 6 && !ids.empty()) {
+      // Cancel any id ever issued: pending, fired or already cancelled.
+      const int token = static_cast<int>(rng.uniformInt(ids.size()));
+      ASSERT_EQ(simulator.cancel(ids[static_cast<std::size_t>(token)]), reference.cancel(token))
+          << "op " << op << " token " << token;
+    } else {
+      const auto expected = reference.step();
+      const std::size_t before = fired.size();
+      ASSERT_EQ(simulator.step(), expected.has_value()) << "op " << op;
+      if (expected) {
+        ASSERT_EQ(fired.size(), before + 1);
+        ASSERT_EQ(fired.back(), expected->second) << "op " << op;
+        ASSERT_EQ(simulator.now().us(), expected->first) << "op " << op;
+        // The callback may have scheduled a child into both queues.
+      }
+    }
+    ASSERT_EQ(simulator.pendingEvents(), reference.size()) << "op " << op;
+  }
+  EXPECT_GT(simulator.processedEvents(), 10'000u);
+  EXPECT_GT(simulator.cancelledEvents(), 1'000u);
 }
 
 }  // namespace
