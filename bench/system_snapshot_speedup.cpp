@@ -1,18 +1,18 @@
-// System-campaign snapshot engine speedup: simulated events and wall time of
-// straight execution vs snapshot-forked execution (restore at a shared
-// replay checkpoint, splice the golden tail after rejoin) on the SAME
-// scenario samples (same seed, same chunking).
+// System-campaign splice engine speedup: simulated events and wall time of
+// straight execution vs spliced execution (simulate from t=0, splice the
+// golden tail once the run provably rejoins the fault-free timeline) on the
+// SAME scenario samples (same seed, same chunking).
 //
-// A system replay checkpoint re-executes the clean prefix on restore
-// (docs/SNAPSHOT.md: replay buys exactness, not O(1) restore), so the
-// headline saving comes from the REJOIN SPLICE: a masked or healed fault
+// The whole saving comes from the REJOIN SPLICE: a masked or healed fault
 // stops simulating once its run provably re-enters the golden timeline, and
 // the golden tail is spliced on arithmetically. The acceptance floor is a
-// >=2x reduction in simulated events per campaign. Campaign statistics must
-// be bit-identical between the two modes and across thread counts {1, 2, 8},
-// and metrics-instrumented runs must produce identical golden fingerprints —
-// this bench fails (exit 1) on any divergence, making it a differential test
-// as much as a benchmark.
+// >=2x reduction in simulated events per campaign, for plain AND for
+// metrics-instrumented campaigns (the splice exports exactly the metrics a
+// complete run would). Campaign statistics must be bit-identical between
+// the two modes and across thread counts {1, 2, 8}, and metrics-instrumented
+// runs must produce identical golden fingerprints — this bench fails
+// (exit 1) on any divergence, making it a differential test as much as a
+// benchmark.
 //
 // Results append to BENCH_system_snapshot_speedup.json. `--smoke` shrinks
 // budgets for CI.
@@ -52,10 +52,15 @@ bool statsEqual(const fi::SystemCampaignStats& a, const fi::SystemCampaignStats&
 }
 
 bool snapEqual(const fi::SnapCounters& a, const fi::SnapCounters& b) {
-  return a.simulatedCycles == b.simulatedCycles && a.snapshotHits == b.snapshotHits &&
-         a.snapshotMisses == b.snapshotMisses && a.snapshotBytes == b.snapshotBytes &&
-         a.resumePoints == b.resumePoints && a.replayedCopies == b.replayedCopies &&
-         a.executedCopies == b.executedCopies && a.straightFallbacks == b.straightFallbacks;
+  return a.simulatedCycles == b.simulatedCycles && a.replayedCopies == b.replayedCopies &&
+         a.executedCopies == b.executedCopies;
+}
+
+double eventRatio(const fi::SystemCampaignStats& straight, const fi::SystemCampaignStats& spliced) {
+  return spliced.snap.simulatedCycles > 0
+             ? static_cast<double>(straight.snap.simulatedCycles) /
+                   static_cast<double>(spliced.snap.simulatedCycles)
+             : 0.0;
 }
 
 /// The bench scenario mix leans toward machine transients injected in the
@@ -104,8 +109,8 @@ int main(int argc, char** argv) {
 
   bool equivalent = statsEqual(straight, snapshot);
 
-  // Thread-count invariance of the snapshot engine, INCLUDING its own
-  // counters (chunk-private caches merged in chunk order).
+  // Thread-count invariance of the splice engine, INCLUDING its own
+  // counters (per-experiment counts merged in chunk order).
   for (const unsigned threads : {2u, 8u}) {
     fi::SystemCampaignConfig rerun = benchConfig(experiments, fi::ExecutionMode::Snapshot);
     rerun.parallelism.threads = threads;
@@ -114,26 +119,27 @@ int main(int argc, char** argv) {
   }
 
   // Metrics-instrumented pair: per-sim registries and campaign reducers
-  // must produce identical golden fingerprints across modes (snapshot
-  // restores replay the prefix with the registry attached; instrumented
-  // experiments never splice).
+  // must produce identical golden fingerprints across modes, and the
+  // instrumented campaign must splice as much as the plain one.
   obs::Registry straightMetrics;
   obs::Registry snapshotMetrics;
+  fi::SystemCampaignStats instrumentedStraight;
+  fi::SystemCampaignStats instrumented;
   {
     fi::SystemCampaignConfig config = benchConfig(experiments, fi::ExecutionMode::Straight);
     config.metrics = &straightMetrics;
-    (void)fi::runSystemCampaign(config);
+    instrumentedStraight = fi::runSystemCampaign(config);
     config = benchConfig(experiments, fi::ExecutionMode::Snapshot);
     config.metrics = &snapshotMetrics;
-    (void)fi::runSystemCampaign(config);
+    instrumented = fi::runSystemCampaign(config);
   }
   const bool metricsIdentical =
       straightMetrics.goldenFingerprint() == snapshotMetrics.goldenFingerprint();
+  equivalent = equivalent && statsEqual(straight, instrumentedStraight) &&
+               statsEqual(snapshot, instrumented) && snapEqual(snapshot.snap, instrumented.snap);
 
-  const double ratio = snapshot.snap.simulatedCycles > 0
-                           ? static_cast<double>(straight.snap.simulatedCycles) /
-                                 static_cast<double>(snapshot.snap.simulatedCycles)
-                           : 0.0;
+  const double ratio = eventRatio(straight, snapshot);
+  const double instrumentedRatio = eventRatio(instrumentedStraight, instrumented);
   const std::uint64_t copies = snapshot.snap.replayedCopies + snapshot.snap.executedCopies;
   const double replayedFraction =
       copies > 0 ? static_cast<double>(snapshot.snap.replayedCopies) /
@@ -144,13 +150,15 @@ int main(int argc, char** argv) {
               "(floor 2x)\n",
               static_cast<unsigned long long>(straight.snap.simulatedCycles),
               static_cast<unsigned long long>(snapshot.snap.simulatedCycles), ratio);
+  std::printf("  with a metrics registry  straight %llu vs snapshot %llu  => %.2fx reduction "
+              "(floor 2x)\n",
+              static_cast<unsigned long long>(instrumentedStraight.snap.simulatedCycles),
+              static_cast<unsigned long long>(instrumented.snap.simulatedCycles),
+              instrumentedRatio);
   std::printf("wall time                  straight %.3fs vs snapshot %.3fs\n", straightSeconds,
               snapshotSeconds);
-  std::printf("rejoin splices             %.1f%% of simulated experiments (%llu restores, "
-              "%llu masked skips)\n",
-              100.0 * replayedFraction,
-              static_cast<unsigned long long>(snapshot.snap.resumePoints),
-              static_cast<unsigned long long>(snapshot.skippedMasked));
+  std::printf("rejoin splices             %.1f%% of simulated experiments (%llu masked skips)\n",
+              100.0 * replayedFraction, static_cast<unsigned long long>(snapshot.skippedMasked));
   std::printf("mode & thread equivalence  %s\n",
               equivalent ? "bit-identical" : "BROKEN (statistics diverged)");
   std::printf("metrics fingerprints       %s\n",
@@ -165,6 +173,7 @@ int main(int argc, char** argv) {
   report.set("snapshot_events",
              obs::JsonValue::integer(static_cast<std::int64_t>(snapshot.snap.simulatedCycles)));
   report.set("events_ratio", obs::JsonValue::number(ratio));
+  report.set("instrumented_events_ratio", obs::JsonValue::number(instrumentedRatio));
   report.set("straight_seconds", obs::JsonValue::number(straightSeconds));
   report.set("snapshot_seconds", obs::JsonValue::number(snapshotSeconds));
   report.set("replayed_fraction", obs::JsonValue::number(replayedFraction));
@@ -172,12 +181,6 @@ int main(int argc, char** argv) {
              obs::JsonValue::integer(static_cast<std::int64_t>(snapshot.snap.replayedCopies)));
   report.set("executed_copies",
              obs::JsonValue::integer(static_cast<std::int64_t>(snapshot.snap.executedCopies)));
-  report.set("resume_points",
-             obs::JsonValue::integer(static_cast<std::int64_t>(snapshot.snap.resumePoints)));
-  report.set("snapshot_hits",
-             obs::JsonValue::integer(static_cast<std::int64_t>(snapshot.snap.snapshotHits)));
-  report.set("snapshot_misses",
-             obs::JsonValue::integer(static_cast<std::int64_t>(snapshot.snap.snapshotMisses)));
   report.set("skipped_masked",
              obs::JsonValue::integer(static_cast<std::int64_t>(snapshot.skippedMasked)));
   report.set("outcomes_bit_identical", obs::JsonValue::boolean(equivalent));
@@ -195,6 +198,12 @@ int main(int argc, char** argv) {
   }
   if (ratio < 2.0) {
     std::printf("FAIL: simulated-event reduction %.2fx below the 2x acceptance floor\n", ratio);
+    return 1;
+  }
+  if (instrumentedRatio < 2.0) {
+    std::printf("FAIL: instrumented simulated-event reduction %.2fx below the 2x acceptance "
+                "floor\n",
+                instrumentedRatio);
     return 1;
   }
   return 0;

@@ -19,32 +19,105 @@
 
 namespace nlft::bbw {
 
-BbwSystemCounters BbwSystemCounters::minus(const BbwSystemCounters& earlier) const {
-  BbwSystemCounters delta;
-  delta.eventsProcessed = eventsProcessed - earlier.eventsProcessed;
-  delta.busCycles = busCycles - earlier.busCycles;
-  delta.busFramesDelivered = busFramesDelivered - earlier.busFramesDelivered;
-  delta.busFramesDropped = busFramesDropped - earlier.busFramesDropped;
-  delta.busCrcRejected = busCrcRejected - earlier.busCrcRejected;
-  delta.busCorruptionsInjected = busCorruptionsInjected - earlier.busCorruptionsInjected;
-  delta.commandFramesDelivered = commandFramesDelivered - earlier.commandFramesDelivered;
-  delta.duplicateCommandsDropped = duplicateCommandsDropped - earlier.duplicateCommandsDropped;
-  delta.commandsOmitted = commandsOmitted - earlier.commandsOmitted;
-  delta.undetectedValueDeliveries = undetectedValueDeliveries - earlier.undetectedValueDeliveries;
-  delta.failSilentEvents = failSilentEvents - earlier.failSilentEvents;
-  delta.kernelErrors = kernelErrors - earlier.kernelErrors;
-  delta.cpuDispatches = cpuDispatches - earlier.cpuDispatches;
-  delta.cpuPreemptions = cpuPreemptions - earlier.cpuPreemptions;
-  delta.controlReleases = controlReleases - earlier.controlReleases;
-  delta.controlDeadlineMisses = controlDeadlineMisses - earlier.controlDeadlineMisses;
-  delta.controlBudgetOverruns = controlBudgetOverruns - earlier.controlBudgetOverruns;
-  delta.cuCompletions = cuCompletions - earlier.cuCompletions;
-  delta.errorsMaskedByTem = errorsMaskedByTem - earlier.errorsMaskedByTem;
+namespace {
+
+using Counters = BbwSystemCounters;
+
+/// The scalar and TEM fields of BbwSystemCounters: the one field list
+/// behind minus() and plus().
+constexpr std::uint64_t Counters::*kScalarCounters[] = {
+    &Counters::eventsProcessed,
+    &Counters::busCycles,
+    &Counters::busFramesDelivered,
+    &Counters::busFramesDropped,
+    &Counters::busCrcRejected,
+    &Counters::busCorruptionsInjected,
+    &Counters::commandFramesDelivered,
+    &Counters::duplicateCommandsDropped,
+    &Counters::commandsOmitted,
+    &Counters::undetectedValueDeliveries,
+    &Counters::failSilentEvents,
+    &Counters::kernelErrors,
+    &Counters::cpuDispatches,
+    &Counters::cpuPreemptions,
+    &Counters::controlReleases,
+    &Counters::controlCompletions,
+    &Counters::controlOmissions,
+    &Counters::controlDeadlineMisses,
+    &Counters::controlBudgetOverruns,
+    &Counters::cuCompletions,
+    &Counters::errorsMaskedByTem,
+};
+constexpr std::uint64_t tem::TemStats::*kTemCounters[] = {
+    &tem::TemStats::jobs,
+    &tem::TemStats::firstCopies,
+    &tem::TemStats::secondCopies,
+    &tem::TemStats::thirdCopies,
+    &tem::TemStats::deliveredCleanly,
+    &tem::TemStats::maskedByVote,
+    &tem::TemStats::maskedByReplacement,
+    &tem::TemStats::comparisonMismatches,
+    &tem::TemStats::edmDetectedErrors,
+    &tem::TemStats::contextRestores,
+    &tem::TemStats::omissionsNoTime,
+    &tem::TemStats::omissionsVoteFailed,
+    &tem::TemStats::omissionsAborted,
+};
+
+template <typename Op>
+Counters combine(const Counters& a, const Counters& b, Op op) {
+  Counters out;
+  for (const auto field : kScalarCounters) out.*field = op(a.*field, b.*field);
   for (std::size_t w = 0; w < kWheelCount; ++w) {
-    delta.wheelCompletions[w] = wheelCompletions[w] - earlier.wheelCompletions[w];
-    delta.wheelOmissions[w] = wheelOmissions[w] - earlier.wheelOmissions[w];
+    out.wheelCompletions[w] = op(a.wheelCompletions[w], b.wheelCompletions[w]);
+    out.wheelOmissions[w] = op(a.wheelOmissions[w], b.wheelOmissions[w]);
   }
-  return delta;
+  for (const auto field : kTemCounters) out.tem.*field = op(a.tem.*field, b.tem.*field);
+  return out;
+}
+
+void addTemStats(tem::TemStats& sum, const tem::TemStats& stats) {
+  for (const auto field : kTemCounters) sum.*field += stats.*field;
+}
+
+/// Copies the counter fields of a result from `counters`.
+void applyCounters(BbwSimResult& result, const Counters& counters) {
+  result.commandFramesDelivered = counters.commandFramesDelivered;
+  result.duplicateCommandsDropped = counters.duplicateCommandsDropped;
+  result.busFramesDropped = counters.busFramesDropped;
+  result.failSilentEvents = counters.failSilentEvents;
+  result.commandsOmitted = counters.commandsOmitted;
+  result.undetectedValueDeliveries = counters.undetectedValueDeliveries;
+  result.wheelCompletions = counters.wheelCompletions;
+  result.wheelOmissions = counters.wheelOmissions;
+  result.cuCompletions = counters.cuCompletions;
+  result.errorsMaskedByTem = counters.errorsMaskedByTem;
+}
+
+constexpr obs::HistogramSpec kEndToEndLatencySpec{0.0, 50000.0, kEndToEndLatencyBuckets};
+
+}  // namespace
+
+BbwSystemCounters BbwSystemCounters::minus(const BbwSystemCounters& earlier) const {
+  return combine(*this, earlier, [](std::uint64_t a, std::uint64_t b) { return a - b; });
+}
+
+BbwSystemCounters BbwSystemCounters::plus(const BbwSystemCounters& later) const {
+  return combine(*this, later, [](std::uint64_t a, std::uint64_t b) { return a + b; });
+}
+
+void EndToEndLatency::add(double latencyUs) {
+  ++bins[obs::bucketIndex(kEndToEndLatencySpec, latencyUs)];
+  ++samples;
+  maxUs = std::max(maxUs, latencyUs);
+  windowMaxUs = std::max(windowMaxUs, latencyUs);
+}
+
+void EndToEndLatency::merge(const EndToEndLatency& other) {
+  for (std::size_t b = 0; b < bins.size(); ++b) bins[b] += other.bins[b];
+  samples += other.samples;
+  maxUs = std::max(maxUs, other.maxUs);
+  windowMaxUs = std::max(windowMaxUs, other.windowMaxUs);
 }
 
 namespace {
@@ -132,6 +205,7 @@ struct BbwSystemSim::Impl {
   std::vector<std::optional<SimTime>> commandSampleTime;
   std::array<std::uint64_t, kWheelCount> lastCommandSeq{~0ULL, ~0ULL, ~0ULL, ~0ULL};
   std::array<std::uint64_t, kWheelCount> lastMeasuredSeq{~0ULL, ~0ULL, ~0ULL, ~0ULL};
+  EndToEndLatency latency;
   std::uint64_t commandFramesDelivered = 0;
   std::uint64_t failSilentEvents = 0;
   std::uint64_t commandsOmitted = 0;
@@ -410,21 +484,17 @@ struct BbwSystemSim::Impl {
     ++commandFramesDelivered;
   }
 
-  /// Records one pedal-sample -> actuator-apply latency into the metrics
-  /// registry: first apply of each command sequence per wheel, on the
-  /// simulated clock (deterministic, hence golden). No-op without a registry.
+  /// Records one pedal-sample -> actuator-apply latency: first apply of
+  /// each command sequence per wheel, on the simulated clock (deterministic,
+  /// hence golden).
   void observeEndToEnd(std::size_t wheel, std::uint64_t sequence) {
-    if (!metrics || sequence == ~0ULL) return;
+    if (sequence == ~0ULL) return;
     if (lastMeasuredSeq[wheel] == sequence) return;  // later applies hold the value
     if (sequence >= commandSampleTime.size()) return;
     const std::optional<SimTime>& sampled = commandSampleTime[sequence];
     if (!sampled) return;
     lastMeasuredSeq[wheel] = sequence;
-    const auto latencyUs = static_cast<double>((simulator.now() - *sampled).us());
-    static const std::string kLatency{"e2e.latency"};
-    static const std::string kLatencyMax{"e2e.latency.max_us"};
-    metrics->observe(kLatency, obs::HistogramSpec{0.0, 50000.0, 50}, latencyUs);
-    metrics->gaugeMax(kLatencyMax, latencyUs);
+    latency.add(static_cast<double>((simulator.now() - *sampled).us()));
   }
 
   void onNodeSilent(net::NodeId id, bool scheduleRestart) {
@@ -496,59 +566,48 @@ struct BbwSystemSim::Impl {
     });
   }
 
-  /// Folds the run's deterministic counters into the attached registry.
-  void snapshotMetrics() {
+  /// Folds a finished run's counters and end-to-end latencies into the
+  /// attached registry — the one export of run() and finishSpliced().
+  void exportMetrics(const BbwSystemCounters& c, const EndToEndLatency& e2e) {
     if (!metrics) return;
     obs::Registry& m = *metrics;
-    m.add("bus.cycles", bus.cyclesCompleted());
-    m.add("bus.frames_delivered", bus.framesDelivered());
-    m.add("bus.frames_dropped", bus.framesDropped());
-    m.add("bus.crc_rejected", bus.crcRejected());
-    m.add("bus.corruptions_injected", bus.corruptionsInjected());
-    m.add("sim.events_processed", simulator.processedEvents());
-    m.add("sys.command_frames_delivered", commandFramesDelivered);
-    m.add("sys.commands_omitted", commandsOmitted);
-    m.add("sys.undetected_value_deliveries", undetectedValueDeliveries);
-    m.add("sys.fail_silent_events", failSilentEvents);
-    for (const Node& n : nodes) {
-      m.add("kernel.preemptions", n.cpu->preemptions());
-      m.add("kernel.dispatches", n.cpu->dispatches());
-      m.add("kernel.errors", n.kernel->kernelErrors());
-      const rt::TaskStats& stats = n.kernel->stats(n.controlTask);
-      m.add("kernel.control.releases", stats.releases);
-      m.add("kernel.control.completions", stats.completions);
-      m.add("kernel.control.omissions", stats.omissions);
-      m.add("kernel.control.deadline_misses", stats.deadlineMisses);
-      m.add("kernel.control.budget_overruns", stats.budgetOverruns);
-      if (!n.temExecutor) continue;
-      tem::TemStats tem = n.temExecutor->stats(n.controlTask);
-      if (!isWheel(n.id)) {
-        const tem::TemStats& emergency = n.temExecutor->stats(n.emergencyTask);
-        tem.jobs += emergency.jobs;
-        tem.firstCopies += emergency.firstCopies;
-        tem.secondCopies += emergency.secondCopies;
-        tem.thirdCopies += emergency.thirdCopies;
-        tem.deliveredCleanly += emergency.deliveredCleanly;
-        tem.maskedByVote += emergency.maskedByVote;
-        tem.maskedByReplacement += emergency.maskedByReplacement;
-        tem.comparisonMismatches += emergency.comparisonMismatches;
-        tem.edmDetectedErrors += emergency.edmDetectedErrors;
-        tem.omissionsNoTime += emergency.omissionsNoTime;
-        tem.omissionsVoteFailed += emergency.omissionsVoteFailed;
-        tem.omissionsAborted += emergency.omissionsAborted;
-      }
-      m.add("tem.jobs", tem.jobs);
-      m.add("tem.copies.first", tem.firstCopies);
-      m.add("tem.copies.second", tem.secondCopies);
-      m.add("tem.copies.third", tem.thirdCopies);
-      m.add("tem.vote.delivered_cleanly", tem.deliveredCleanly);
-      m.add("tem.vote.masked_by_vote", tem.maskedByVote);
-      m.add("tem.vote.masked_by_replacement", tem.maskedByReplacement);
-      m.add("tem.vote.comparison_mismatches", tem.comparisonMismatches);
-      m.add("tem.edm_detected_errors", tem.edmDetectedErrors);
-      m.add("tem.omissions.no_time", tem.omissionsNoTime);
-      m.add("tem.omissions.vote_failed", tem.omissionsVoteFailed);
-      m.add("tem.omissions.aborted", tem.omissionsAborted);
+    m.add("bus.cycles", c.busCycles);
+    m.add("bus.frames_delivered", c.busFramesDelivered);
+    m.add("bus.frames_dropped", c.busFramesDropped);
+    m.add("bus.crc_rejected", c.busCrcRejected);
+    m.add("bus.corruptions_injected", c.busCorruptionsInjected);
+    m.add("sim.events_processed", c.eventsProcessed);
+    m.add("sys.command_frames_delivered", c.commandFramesDelivered);
+    m.add("sys.commands_omitted", c.commandsOmitted);
+    m.add("sys.undetected_value_deliveries", c.undetectedValueDeliveries);
+    m.add("sys.fail_silent_events", c.failSilentEvents);
+    m.add("kernel.preemptions", c.cpuPreemptions);
+    m.add("kernel.dispatches", c.cpuDispatches);
+    m.add("kernel.errors", c.kernelErrors);
+    m.add("kernel.control.releases", c.controlReleases);
+    m.add("kernel.control.completions", c.controlCompletions);
+    m.add("kernel.control.omissions", c.controlOmissions);
+    m.add("kernel.control.deadline_misses", c.controlDeadlineMisses);
+    m.add("kernel.control.budget_overruns", c.controlBudgetOverruns);
+    if (config.nodeType == NodeType::Nlft) {
+      m.add("tem.jobs", c.tem.jobs);
+      m.add("tem.copies.first", c.tem.firstCopies);
+      m.add("tem.copies.second", c.tem.secondCopies);
+      m.add("tem.copies.third", c.tem.thirdCopies);
+      m.add("tem.vote.delivered_cleanly", c.tem.deliveredCleanly);
+      m.add("tem.vote.masked_by_vote", c.tem.maskedByVote);
+      m.add("tem.vote.masked_by_replacement", c.tem.maskedByReplacement);
+      m.add("tem.vote.comparison_mismatches", c.tem.comparisonMismatches);
+      m.add("tem.edm_detected_errors", c.tem.edmDetectedErrors);
+      m.add("tem.omissions.no_time", c.tem.omissionsNoTime);
+      m.add("tem.omissions.vote_failed", c.tem.omissionsVoteFailed);
+      m.add("tem.omissions.aborted", c.tem.omissionsAborted);
+    }
+    if (e2e.samples > 0) {
+      std::array<std::uint64_t, kEndToEndLatencyBuckets> bins{};
+      std::copy(e2e.bins.begin(), e2e.bins.end(), bins.begin());
+      m.addHistogram("e2e.latency", kEndToEndLatencySpec, bins);
+      m.gaugeMax("e2e.latency.max_us", e2e.maxUs);
     }
   }
 
@@ -667,6 +726,8 @@ struct BbwSystemSim::Impl {
       c.cpuPreemptions += n.cpu->preemptions();
       const rt::TaskStats& stats = n.kernel->stats(n.controlTask);
       c.controlReleases += stats.releases;
+      c.controlCompletions += stats.completions;
+      c.controlOmissions += stats.omissions;
       c.controlDeadlineMisses += stats.deadlineMisses;
       c.controlBudgetOverruns += stats.budgetOverruns;
       if (isWheel(n.id)) {
@@ -678,6 +739,8 @@ struct BbwSystemSim::Impl {
       if (n.temExecutor) {
         const tem::TemStats& temStats = n.temExecutor->stats(n.controlTask);
         c.errorsMaskedByTem += temStats.maskedByVote + temStats.maskedByReplacement;
+        addTemStats(c.tem, temStats);
+        if (!isWheel(n.id)) addTemStats(c.tem, n.temExecutor->stats(n.emergencyTask));
       }
     }
     return c;
@@ -701,6 +764,19 @@ struct BbwSystemSim::Impl {
     for (const std::uint32_t command : lastCommandQ8) digest.u64(command);
     for (const std::int32_t limit : wheelLimitQ8) digest.i64(limit);
     for (const std::uint64_t seq : lastCommandSeq) digest.u64(seq);
+    // Future e2e samples read the pedal-sample times of sequences a wheel
+    // has not measured yet. Frames carry CU job indices, which only grow,
+    // so those are the sequences after the least advanced wheel's last
+    // measured one: two runs with equal digests take equal future samples.
+    std::uint64_t firstUnmeasured = ~0ULL;
+    for (const std::uint64_t seq : lastMeasuredSeq) {
+      digest.u64(seq);
+      firstUnmeasured = std::min(firstUnmeasured, seq == ~0ULL ? 0 : seq + 1);
+    }
+    digest.u64(commandSampleTime.size());
+    for (std::size_t seq = firstUnmeasured; seq < commandSampleTime.size(); ++seq) {
+      digest.i64(commandSampleTime[seq] ? commandSampleTime[seq]->us() : -1);
+    }
     digest.boolean(emergencyLatched);
     digest.i64(emergencyPressedAt ? emergencyPressedAt->us() : -1);
     digest.i64(emergencyAppliedAt ? emergencyAppliedAt->us() : -1);
@@ -896,16 +972,7 @@ BbwSimResult BbwSystemSim::run() {
   result.stoppingDistanceM = impl.vehicle.distanceM();
   result.stopTimeS = impl.stopTimeS;
   const BbwSystemCounters counters = impl.counterSnapshot();
-  result.commandFramesDelivered = counters.commandFramesDelivered;
-  result.duplicateCommandsDropped = counters.duplicateCommandsDropped;
-  result.busFramesDropped = counters.busFramesDropped;
-  result.failSilentEvents = counters.failSilentEvents;
-  result.commandsOmitted = counters.commandsOmitted;
-  result.undetectedValueDeliveries = counters.undetectedValueDeliveries;
-  result.wheelCompletions = counters.wheelCompletions;
-  result.wheelOmissions = counters.wheelOmissions;
-  result.cuCompletions = counters.cuCompletions;
-  result.errorsMaskedByTem = counters.errorsMaskedByTem;
+  applyCounters(result, counters);
   if (impl.emergencyPressedAt && impl.emergencyAppliedAt) {
     result.emergencyBrakeLatency = *impl.emergencyAppliedAt - *impl.emergencyPressedAt;
   }
@@ -914,19 +981,37 @@ BbwSimResult BbwSystemSim::run() {
       result.nodesDownAtEnd.insert(n.id);
     }
   }
-  impl.snapshotMetrics();
+  impl.exportMetrics(counters, impl.latency);
   impl.emitSpans();
+  return result;
+}
+
+BbwSimResult BbwSystemSim::finishSpliced(const BbwSimResult& final, const BbwSystemCounters& tail,
+                                         const EndToEndLatency& tailLatency) {
+  Impl& impl = *impl_;
+  if (impl.traceSink || impl.recorder) {
+    throw std::logic_error("BbwSystemSim::finishSpliced: trace output cannot be spliced");
+  }
+  const BbwSystemCounters total = impl.counterSnapshot().plus(tail);
+  EndToEndLatency latency = impl.latency;
+  latency.merge(tailLatency);
+  BbwSimResult result = final;
+  applyCounters(result, total);
+  impl.exportMetrics(total, latency);
   return result;
 }
 
 void BbwSystemSim::runUntil(SimTime until) {
   impl_->advanced = true;
+  impl_->latency.windowMaxUs = 0.0;
   impl_->advanceTo(until);
 }
 
 std::uint64_t BbwSystemSim::stateFingerprint() const { return impl_->fingerprint(); }
 
 BbwSystemCounters BbwSystemSim::counterSnapshot() const { return impl_->counterSnapshot(); }
+
+const EndToEndLatency& BbwSystemSim::endToEndLatency() const { return impl_->latency; }
 
 std::uint64_t BbwSystemSim::behaviorFingerprint() const { return impl_->behaviorFingerprint(); }
 

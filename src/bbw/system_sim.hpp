@@ -110,11 +110,13 @@ struct BbwSimResult {
 };
 
 /// Monotone counters of a live system simulation, observable at any instant
-/// (run() reports the same quantities, finalized). The snapshot campaign
-/// engine (docs/SNAPSHOT.md "system campaigns") compares PER-INTERVAL deltas
-/// of these against a precomputed golden timeline: equal deltas over
-/// consecutive checkpoints mean the faulted run processed the exact same
-/// event stream as the fault-free run over that interval.
+/// (run() reports the same quantities, finalized). They cover EVERY
+/// counter an attached metrics registry receives, so the golden-rejoin
+/// splice (fi::SystemBaseline, docs/SNAPSHOT.md "system campaigns") can
+/// both compare PER-INTERVAL deltas against a precomputed golden timeline —
+/// equal deltas over consecutive checkpoints mean the faulted run processed
+/// the exact same event stream as the fault-free run over that interval —
+/// and export a spliced run's metrics as totals.
 struct BbwSystemCounters {
   std::uint64_t eventsProcessed = 0;
   std::uint64_t busCycles = 0;
@@ -131,18 +133,46 @@ struct BbwSystemCounters {
   std::uint64_t cpuDispatches = 0;
   std::uint64_t cpuPreemptions = 0;
   std::uint64_t controlReleases = 0;
+  std::uint64_t controlCompletions = 0;
+  std::uint64_t controlOmissions = 0;
   std::uint64_t controlDeadlineMisses = 0;
   std::uint64_t controlBudgetOverruns = 0;
   std::uint64_t cuCompletions = 0;
   std::uint64_t errorsMaskedByTem = 0;
   std::array<std::uint64_t, kWheelCount> wheelCompletions{};
   std::array<std::uint64_t, kWheelCount> wheelOmissions{};
+  /// tem::TemStats of the critical tasks (control, and emergency on the
+  /// CUs) summed over the NLFT nodes; all zero on fail-silent nodes.
+  tem::TemStats tem;
 
   friend bool operator==(const BbwSystemCounters&, const BbwSystemCounters&) = default;
 
   /// Field-wise difference against an EARLIER snapshot of the same
   /// simulation (all counters are monotone, so this never underflows).
   [[nodiscard]] BbwSystemCounters minus(const BbwSystemCounters& earlier) const;
+  /// Field-wise sum: these counters followed by the `later` deltas.
+  [[nodiscard]] BbwSystemCounters plus(const BbwSystemCounters& later) const;
+};
+
+/// Histogram layout of the "e2e.latency" metric: [0, 50 ms) in 1 ms bins.
+inline constexpr std::size_t kEndToEndLatencyBuckets = 50;
+
+/// Pedal-sample -> actuator-apply latencies of one run (first apply of each
+/// command sequence per wheel, simulated microseconds), binned like the
+/// "e2e.latency" histogram. A simulation always accumulates them in these
+/// plain bins and exports them — with the "e2e.latency.max_us" gauge — to
+/// an attached registry once, at the end of the run. Exported samples
+/// therefore never depend on when a registry was attached, and a spliced
+/// run's latencies are this prefix merged with the golden tail's.
+struct EndToEndLatency {
+  std::array<std::uint32_t, kEndToEndLatencyBuckets> bins{};
+  std::uint32_t samples = 0;
+  double maxUs = 0.0;        ///< largest sample so far (0 without samples)
+  double windowMaxUs = 0.0;  ///< largest sample since the latest runUntil() began
+
+  void add(double latencyUs);
+  /// Adds `other`'s samples (bins and counts add, maxima take the max).
+  void merge(const EndToEndLatency& other);
 };
 
 class BbwSystemSim {
@@ -202,10 +232,11 @@ class BbwSystemSim {
   void setTraceSink(std::function<void(const std::string&)> sink);
 
   /// Attaches a metrics registry (not owned; must outlive the simulation).
-  /// During run() the simulation folds its deterministic counters into it:
-  /// kernel scheduling (preemptions, releases, budget overruns), TEM copy
-  /// executions and vote outcomes, bus frames/CRC rejects/drops, and the
-  /// system-level failure counters. Call before run().
+  /// At the end of run() the simulation folds its deterministic counters
+  /// into it: kernel scheduling (preemptions, releases, budget overruns),
+  /// TEM copy executions and vote outcomes, bus frames/CRC rejects/drops,
+  /// the system-level failure counters and the end-to-end latencies. Call
+  /// before run().
   void setMetricsRegistry(obs::Registry* registry);
 
   /// Attaches a span/trace recorder (not owned). Every system event that
@@ -261,10 +292,29 @@ class BbwSystemSim {
   /// Snapshot of the monotone counters at the current instant.
   [[nodiscard]] BbwSystemCounters counterSnapshot() const;
 
+  /// End-to-end latencies accumulated so far.
+  [[nodiscard]] const EndToEndLatency& endToEndLatency() const;
+
+  /// Finishes the run by SPLICING a known future onto the current state
+  /// instead of simulating it: `final` supplies the trajectory and terminal
+  /// fields of the result, `tail` the counter deltas and `tailLatency` the
+  /// latency samples the rest of the run adds. The counter fields of the
+  /// result, and everything an attached registry receives, are this run's
+  /// totals so far plus the tail — exactly what run() would report when the
+  /// rest of this run IS that future (fi::SystemBaseline::runToRejoin
+  /// proves it before splicing). Throws std::logic_error when a trace sink
+  /// or trace recorder is attached: trace lines cannot be spliced.
+  [[nodiscard]] BbwSimResult finishSpliced(const BbwSimResult& final,
+                                           const BbwSystemCounters& tail,
+                                           const EndToEndLatency& tailLatency);
+
   /// 64-bit digest of the EVOLUTION-RELEVANT state only: clock, pending
   /// event count, vehicle kinematics, held commands/limits/sequences,
   /// emergency latching, per-node kernel liveness and armed one-shot faults,
-  /// plus the membership, bus and duplex-arbiter state digests. Unlike
+  /// the end-to-end latency bookkeeping that future samples read (each
+  /// wheel's last measured sequence, the pedal-sample times of sequences
+  /// not measured yet), plus the membership, bus and duplex-arbiter state
+  /// digests. Unlike
   /// stateFingerprint() it EXCLUDES monotone bookkeeping (processed events,
   /// delivery counters, task statistics), so a faulted simulation whose
   /// disturbance has fully healed produces the golden digest again — the

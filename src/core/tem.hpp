@@ -78,6 +78,8 @@ struct TemStats {
   std::uint64_t omissionsNoTime = 0;     ///< recovery abandoned: deadline too close
   std::uint64_t omissionsVoteFailed = 0; ///< three pairwise-different results
   std::uint64_t omissionsAborted = 0;    ///< deadline monitor aborted the job
+
+  friend bool operator==(const TemStats&, const TemStats&) = default;
 };
 
 /// Creates the kernel job handler that executes one critical task under TEM.

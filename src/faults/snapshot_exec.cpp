@@ -99,65 +99,63 @@ SystemBaseline::SystemBaseline(bbw::BbwSimConfig config, util::Duration checkpoi
   if (strideUs_ <= 0) throw std::invalid_argument("SystemBaseline: non-positive stride");
 
   // One golden simulation does double duty: it records the checkpoint grid
-  // on the way (runUntil + saveState compose exactly with a straight run,
-  // pinned by the roundtrip tests) and then finalizes the golden result.
+  // on the way (runUntil composes exactly with a straight run) and then
+  // finalizes the golden result.
   bbw::BbwSystemSim sweep{config_};
   const std::int64_t horizonUs = config_.horizon.us();
+  static_assert(bbw::kEndToEndLatencyBuckets <= 256, "the sample log stores buckets as bytes");
+  // Appends the bins of the samples taken since the previous call.
+  bbw::EndToEndLatency logged;
+  const auto logLatency = [&] {
+    const bbw::EndToEndLatency& latency = sweep.endToEndLatency();
+    for (std::size_t b = 0; b < latency.bins.size(); ++b) {
+      latencyBins_.insert(latencyBins_.end(), latency.bins[b] - logged.bins[b],
+                          static_cast<std::uint8_t>(b));
+    }
+    logged = latency;
+    return latency.windowMaxUs;
+  };
+  bool finished = false;
   for (std::int64_t grid = strideUs_; grid < horizonUs; grid += strideUs_) {
     sweep.runUntil(util::SimTime::fromUs(grid));
-    // The advance loop gates on the PRE-step clock, so it overshoots the
-    // grid by up to one event gap — record the actual clock; restoreBefore
-    // compares injection instants against it, not the nominal grid time.
-    const std::int64_t clock = sweep.simulator().now().us();
-    if (clock < grid) break;  // vehicle stopped (or events drained) mid-interval
+    if (sweep.simulator().now().us() < grid) {
+      finished = true;  // vehicle stopped (or events drained) mid-interval
+      break;
+    }
     SystemCheckpoint checkpoint;
     checkpoint.gridUs = grid;
-    checkpoint.clockUs = clock;
     checkpoint.behavior = sweep.behaviorFingerprint();
     checkpoint.counters = sweep.counterSnapshot();
-    checkpoint.blob = sweep.saveState();
-    checkpoints_.push_back(std::move(checkpoint));
+    checkpoint.latencyIntervalMaxUs = logLatency();
+    checkpoint.latencySamples = static_cast<std::uint32_t>(latencyBins_.size());
+    checkpoints_.push_back(checkpoint);
   }
+  // The stretch after the last grid point gets its own latency window.
+  if (!finished) sweep.runUntil(util::SimTime::fromUs(horizonUs));
+  finalIntervalMaxUs_ = logLatency();
   golden_ = sweep.run();
   finalCounters_ = sweep.counterSnapshot();
-  sweepEvents_ = finalCounters_.eventsProcessed;
 }
 
-void SystemBaseline::primeCache(snap::SnapshotCache& cache) const {
-  for (const SystemCheckpoint& checkpoint : checkpoints_) {
-    cache.insert({static_cast<std::uint64_t>(checkpoint.gridUs), 0}, checkpoint.blob);
+std::optional<bbw::BbwSimResult> SystemBaseline::runToRejoin(bbw::BbwSystemSim& scratch,
+                                                             std::int64_t injectedAtUs) const {
+  // Grid points at or before the injection cannot match (the injection
+  // event itself is an extra processed event in its interval): run
+  // straight to the last of them, the base of the first compared delta.
+  std::size_t i = static_cast<std::size_t>(
+      std::partition_point(checkpoints_.begin(), checkpoints_.end(),
+                           [injectedAtUs](const SystemCheckpoint& checkpoint) {
+                             return checkpoint.gridUs <= injectedAtUs;
+                           }) -
+      checkpoints_.begin());
+  bbw::BbwSystemCounters previous{};
+  if (i > 0) {
+    scratch.runUntil(util::SimTime::fromUs(checkpoints_[i - 1].gridUs));
+    if (scratch.simulator().now().us() < checkpoints_[i - 1].gridUs) return std::nullopt;
+    previous = scratch.counterSnapshot();
   }
-}
-
-std::optional<std::size_t> SystemBaseline::restoreBefore(bbw::BbwSystemSim& scratch,
-                                                         std::int64_t atUs,
-                                                         snap::SnapshotCache& cache) const {
-  // First checkpoint NOT strictly before the injection instant…
-  const auto bound = std::partition_point(
-      checkpoints_.begin(), checkpoints_.end(),
-      [atUs](const SystemCheckpoint& checkpoint) { return checkpoint.clockUs < atUs; });
-  // …then walk down past cache misses (each probe counts into the chunk's
-  // hit/miss counters deterministically).
-  for (std::size_t i = static_cast<std::size_t>(bound - checkpoints_.begin()); i-- > 0;) {
-    const std::vector<std::uint8_t>* blob =
-        cache.find({static_cast<std::uint64_t>(checkpoints_[i].gridUs), 0});
-    if (blob == nullptr) continue;
-    scratch.restoreState(*blob);  // throws loudly on a corrupted blob
-    return i;
-  }
-  return std::nullopt;
-}
-
-std::optional<bbw::BbwSimResult> SystemBaseline::runToRejoin(
-    bbw::BbwSystemSim& scratch, std::int64_t injectedAtUs,
-    std::optional<std::size_t> restoredAt) const {
-  // The restore replays the golden prefix verbatim (fingerprint-verified),
-  // so the scratch counters at the restore point ARE the golden ones there;
-  // a fork from t=0 starts the interval deltas from zero.
-  bbw::BbwSystemCounters previous =
-      restoredAt ? checkpoints_[*restoredAt].counters : bbw::BbwSystemCounters{};
   unsigned consecutive = 0;
-  for (std::size_t i = restoredAt ? *restoredAt + 1 : 0; i < checkpoints_.size(); ++i) {
+  for (; i < checkpoints_.size(); ++i) {
     const SystemCheckpoint& checkpoint = checkpoints_[i];
     scratch.runUntil(util::SimTime::fromUs(checkpoint.gridUs));
     if (scratch.simulator().now().us() < checkpoint.gridUs) {
@@ -166,69 +164,39 @@ std::optional<bbw::BbwSimResult> SystemBaseline::runToRejoin(
     const bbw::BbwSystemCounters current = scratch.counterSnapshot();
     const bbw::BbwSystemCounters goldenPrevious =
         i == 0 ? bbw::BbwSystemCounters{} : checkpoints_[i - 1].counters;
-    // The injection event itself is an extra processed event in its
-    // interval, so the event-count delta can only match once the interval
-    // is injection-free — gating on the injection time is belt and braces.
-    const bool matches = checkpoint.gridUs > injectedAtUs && scratch.injectionQuiescent() &&
-                         scratch.behaviorFingerprint() == checkpoint.behavior &&
-                         current.minus(previous) == checkpoint.counters.minus(goldenPrevious);
-    if (matches) {
-      if (++consecutive >= kRejoinConfirmations) {
-        // Splice: the scratch state equals the golden state here, so its
-        // future is the golden tail. Counters continue from the scratch
-        // totals by the golden tail deltas; trajectory and terminal fields
-        // come from the golden final (nodesDownAtEnd is empty on both
-        // sides: the behavior fingerprint pins every kernel alive).
-        const bbw::BbwSystemCounters tail = finalCounters_.minus(checkpoint.counters);
-        const bbw::BbwSystemCounters total = [&] {
-          bbw::BbwSystemCounters sum = current;
-          sum.commandFramesDelivered += tail.commandFramesDelivered;
-          sum.duplicateCommandsDropped += tail.duplicateCommandsDropped;
-          sum.busFramesDropped += tail.busFramesDropped;
-          sum.commandsOmitted += tail.commandsOmitted;
-          sum.undetectedValueDeliveries += tail.undetectedValueDeliveries;
-          sum.failSilentEvents += tail.failSilentEvents;
-          sum.cuCompletions += tail.cuCompletions;
-          sum.errorsMaskedByTem += tail.errorsMaskedByTem;
-          for (std::size_t w = 0; w < bbw::kWheelCount; ++w) {
-            sum.wheelCompletions[w] += tail.wheelCompletions[w];
-            sum.wheelOmissions[w] += tail.wheelOmissions[w];
-          }
-          return sum;
-        }();
-        bbw::BbwSimResult result = golden_;
-        result.commandFramesDelivered = total.commandFramesDelivered;
-        result.duplicateCommandsDropped = total.duplicateCommandsDropped;
-        result.busFramesDropped = total.busFramesDropped;
-        result.commandsOmitted = total.commandsOmitted;
-        result.undetectedValueDeliveries = total.undetectedValueDeliveries;
-        result.failSilentEvents = total.failSilentEvents;
-        result.cuCompletions = total.cuCompletions;
-        result.errorsMaskedByTem = total.errorsMaskedByTem;
-        result.wheelCompletions = total.wheelCompletions;
-        result.wheelOmissions = total.wheelOmissions;
-        return result;
-      }
-    } else {
-      consecutive = 0;
-    }
+    // Cheapest test first: a run that never rejoins (a crash, a burst)
+    // fails the counter delta at almost every grid point, so it never pays
+    // for hashing the whole behavior state.
+    const bool matches = scratch.injectionQuiescent() &&
+                         current.minus(previous) == checkpoint.counters.minus(goldenPrevious) &&
+                         scratch.behaviorFingerprint() == checkpoint.behavior;
     previous = current;
+    if (!matches) {
+      consecutive = 0;
+      continue;
+    }
+    if (++consecutive < kRejoinConfirmations) continue;
+    // Splice: the scratch state equals the golden state here, so its
+    // future is the golden tail — its counter deltas, its latency samples,
+    // and the golden final's trajectory and terminal fields
+    // (nodesDownAtEnd is empty on both sides: the behavior fingerprint pins
+    // every kernel alive).
+    return scratch.finishSpliced(golden_, finalCounters_.minus(checkpoint.counters),
+                                 latencyAfter(i));
   }
   return std::nullopt;
 }
 
-bool systemSnapshotSupported(const bbw::BbwSimConfig& config) {
-  try {
-    bbw::BbwSystemSim probe{config};
-    probe.runUntil(util::SimTime::zero() + config.controlPeriod);
-    const std::vector<std::uint8_t> blob = probe.saveState();
-    bbw::BbwSystemSim twin{config};
-    twin.restoreState(blob);
-    return twin.stateFingerprint() == probe.stateFingerprint() &&
-           twin.behaviorFingerprint() == probe.behaviorFingerprint();
-  } catch (...) {
-    return false;
+bbw::EndToEndLatency SystemBaseline::latencyAfter(std::size_t index) const {
+  const std::uint32_t from = checkpoints_.at(index).latencySamples;
+  bbw::EndToEndLatency tail;
+  for (std::size_t k = from; k < latencyBins_.size(); ++k) ++tail.bins[latencyBins_[k]];
+  tail.samples = static_cast<std::uint32_t>(latencyBins_.size()) - from;
+  tail.maxUs = finalIntervalMaxUs_;
+  for (std::size_t j = index + 1; j < checkpoints_.size(); ++j) {
+    tail.maxUs = std::max(tail.maxUs, checkpoints_[j].latencyIntervalMaxUs);
   }
+  return tail;
 }
 
 }  // namespace nlft::fi

@@ -85,44 +85,35 @@ class MachineBaseline {
 
 /// One grid point of a system-campaign golden timeline.
 struct SystemCheckpoint {
-  std::int64_t gridUs = 0;     ///< nominal grid time (a multiple of the stride)
-  std::int64_t clockUs = 0;    ///< ACTUAL simulated clock after advancing to gridUs
+  std::int64_t gridUs = 0;     ///< grid time (a multiple of the stride)
   std::uint64_t behavior = 0;  ///< bbw::BbwSystemSim::behaviorFingerprint() there
   bbw::BbwSystemCounters counters;  ///< monotone counters there
-  std::vector<std::uint8_t> blob;   ///< replay checkpoint (saveState)
+  /// End-to-end latency samples up to here (an index into the baseline's
+  /// sample-bin log), and the largest sample since the previous grid point.
+  std::uint32_t latencySamples = 0;
+  double latencyIntervalMaxUs = 0.0;
 };
 
 /// The shared golden timeline of one system campaign: ONE fault-free
 /// `bbw::BbwSystemSim` fast-forwarded checkpoint grid by checkpoint grid,
-/// recording at every point the actual clock, the behavior fingerprint, the
-/// monotone counters and a replay-checkpoint blob — then run to completion
-/// for the golden result. The timeline is immutable after construction and
+/// recording at every point the behavior fingerprint, the monotone counters
+/// and the end-to-end latency samples — then run to
+/// completion for the golden result. The timeline is immutable after construction and
 /// a pure function of the configuration, so campaign chunks share one
-/// instance read-only across threads; each chunk primes its PRIVATE
-/// byte-bounded snap::SnapshotCache from it (keeping hit/miss counters a
-/// pure function of the chunk contents, hence thread-count invariant).
+/// instance read-only across threads.
 ///
-/// Two services per experiment:
-///   * restoreBefore() — fork a scratch sim from the nearest cached
-///     checkpoint STRICTLY before the injection instant. Strictness makes
-///     arming the injection after the restore legal (`scheduleAt` refuses
-///     past times) and ordering-equivalent to arming it at t=0: injection
-///     events run at EventPriority::FaultInjection, before any same-time
-///     event of another priority, and no other event uses that priority.
-///     A system checkpoint replays the prefix (docs/SNAPSHOT.md: replay
-///     buys exactness, not O(1) restore), so the restore itself is
-///     event-neutral; the saving comes from runToRejoin().
-///   * runToRejoin() — advance the faulted scratch along the grid and stop
-///     simulating once it has provably rejoined the golden timeline:
-///     kRejoinConfirmations consecutive grid points with (a) the golden
-///     behavior fingerprint, (b) golden per-interval counter deltas
-///     INCLUDING the processed-event count, and (c) no armed injection.
-///     The final result is then spliced: scratch counters at the rejoin
-///     point plus the golden tail deltas, trajectory fields from the golden
-///     final — bit-identical to running the scratch to completion, at a
-///     fraction of the simulated events. Injections whose disturbance never
-///     heals (crashes, wheel omissions) simply never match and run
-///     straight to completion.
+/// Every experiment simulates from t=0 with its injection armed, and
+/// runToRejoin() advances it along the grid and stops simulating once it
+/// has provably rejoined the golden timeline: kRejoinConfirmations
+/// consecutive grid points with (a) golden per-interval counter deltas
+/// INCLUDING the processed-event count, (b) the golden behavior
+/// fingerprint, and (c) no armed injection. The rest of the run is then
+/// spliced on (bbw::BbwSystemSim::finishSpliced): scratch counters and
+/// latencies at the rejoin point plus the golden tail's, trajectory fields
+/// from the golden final — bit-identical to running the scratch to
+/// completion, metrics registry included, at a fraction of the simulated
+/// events. Injections whose disturbance never heals (crashes, wheel
+/// omissions) simply never match and run straight to completion.
 class SystemBaseline {
  public:
   /// Sweeps the golden run of `config`, checkpointing every
@@ -134,35 +125,24 @@ class SystemBaseline {
   [[nodiscard]] const bbw::BbwSimResult& goldenResult() const { return golden_; }
   [[nodiscard]] const bbw::BbwSystemCounters& goldenCounters() const { return finalCounters_; }
   /// Simulated events the one golden sweep processed (charged once per
-  /// campaign to snap.simulatedCycles, in every execution mode).
-  [[nodiscard]] std::uint64_t sweepEvents() const { return sweepEvents_; }
+  /// campaign to snap.simulatedCycles).
+  [[nodiscard]] std::uint64_t sweepEvents() const { return finalCounters_.eventsProcessed; }
   [[nodiscard]] std::int64_t strideUs() const { return strideUs_; }
   [[nodiscard]] const std::vector<SystemCheckpoint>& checkpoints() const { return checkpoints_; }
 
-  /// Inserts every checkpoint blob into `cache` in timeline order (the LRU
-  /// budget then keeps the latest checkpoints, evicting from the front of
-  /// the stop). Call once per chunk on the chunk's private cache.
-  void primeCache(snap::SnapshotCache& cache) const;
+  /// Advances the armed scratch sim — freshly built from this baseline's
+  /// config, injections scheduled at `injectedAtUs` or later, not yet
+  /// advanced — along the checkpoint grid and splices the golden tail once
+  /// the rejoin condition holds (see the class docs). Returns the finalized
+  /// result, or nullopt when the run never rejoins — the scratch is then
+  /// mid-flight and the caller finishes it with run().
+  [[nodiscard]] std::optional<bbw::BbwSimResult> runToRejoin(bbw::BbwSystemSim& scratch,
+                                                             std::int64_t injectedAtUs) const;
 
-  /// Restores `scratch` (freshly constructed with this baseline's config)
-  /// from the nearest cached checkpoint whose ACTUAL clock is strictly
-  /// before `atUs`, walking down the grid past cache misses. Returns the
-  /// checkpoint index, or nullopt when nothing cached qualifies (the fork
-  /// then starts from t=0, which is event-identical). A cached blob that
-  /// fails its replay fingerprint THROWS (std::runtime_error /
-  /// snap::BlobError): a corrupted restore aborts loudly, never silently
-  /// falls back to straight execution.
-  [[nodiscard]] std::optional<std::size_t> restoreBefore(bbw::BbwSystemSim& scratch,
-                                                         std::int64_t atUs,
-                                                         snap::SnapshotCache& cache) const;
-
-  /// Advances the armed scratch sim along the checkpoint grid and splices
-  /// the golden tail once the rejoin condition holds (see the class docs).
-  /// Returns the finalized result, or nullopt when the run never rejoins —
-  /// the scratch is then mid-flight and the caller finishes it with run().
-  [[nodiscard]] std::optional<bbw::BbwSimResult> runToRejoin(
-      bbw::BbwSystemSim& scratch, std::int64_t injectedAtUs,
-      std::optional<std::size_t> restoredAt) const;
+  /// The golden run's end-to-end latency samples after checkpoint `index`:
+  /// their bins, count and largest value (windowMaxUs stays 0) — the latency
+  /// tail a splice at that checkpoint adds.
+  [[nodiscard]] bbw::EndToEndLatency latencyAfter(std::size_t index) const;
 
   /// Consecutive matching grid points required before splicing. Three
   /// checkpoints span >= two full control periods, so every task, bus cycle
@@ -175,17 +155,11 @@ class SystemBaseline {
   std::vector<SystemCheckpoint> checkpoints_;
   bbw::BbwSimResult golden_;
   bbw::BbwSystemCounters finalCounters_;
-  std::uint64_t sweepEvents_ = 0;
+  /// The bucket of every golden latency sample, interval by interval (a
+  /// checkpoint's latencySamples is where its tail starts): a few bytes per
+  /// sample instead of a full histogram per grid point.
+  std::vector<std::uint8_t> latencyBins_;
+  double finalIntervalMaxUs_ = 0.0;  ///< largest sample after the last grid point
 };
-
-/// Probes whether replay checkpoints round-trip for `config`: saves one
-/// early checkpoint, restores it into a twin simulation built from the same
-/// config, and compares both fingerprints. Configs with closures pass —
-/// the twin shares the closure object, exactly as campaign sims share the
-/// campaign config — so this guards against FUTURE sim state the blob
-/// format does not cover yet, not against closures. ExecutionMode::Auto
-/// campaigns fall back to straight execution when the probe fails;
-/// ExecutionMode::Snapshot throws instead.
-[[nodiscard]] bool systemSnapshotSupported(const bbw::BbwSimConfig& config);
 
 }  // namespace nlft::fi

@@ -10,7 +10,6 @@
 #include "bbw/guest_programs.hpp"
 #include "exec/chunked_campaign.hpp"
 #include "faults/snapshot_exec.hpp"
-#include "snap/cache.hpp"
 
 namespace nlft::fi {
 
@@ -206,10 +205,7 @@ SystemScenario sampleScenarioImpl(const SystemCampaignConfig& config, util::Rng&
   return scenario;
 }
 
-/// Arms the scenario's injection hooks on a (fresh or restored) simulation.
-/// Legal after a restore STRICTLY before scenario.at: injection events run
-/// at EventPriority::FaultInjection, which no other event uses, so arming
-/// late is ordering-equivalent to arming at t=0.
+/// Arms the scenario's injection hooks on a fresh simulation.
 void armScenario(BbwSystemSim& sim, const SystemScenario& scenario, Injection injection) {
   const net::NodeId target = scenario.targets.front();
   switch (scenario.kind) {
@@ -234,13 +230,12 @@ void armScenario(BbwSystemSim& sim, const SystemScenario& scenario, Injection in
   }
 }
 
-/// Per-campaign execution engine: the resolved execution mode plus the
-/// shared golden timeline. Immutable after construction; shared read-only
-/// across worker threads (and across strata in the stratified campaign).
+/// Per-campaign execution engine: the golden stop, plus the shared golden
+/// timeline when experiments splice. Immutable after construction; shared
+/// read-only across worker threads (and across strata in the stratified
+/// campaign).
 struct SystemEngine {
-  ExecutionMode mode = ExecutionMode::Straight;  ///< resolved: never Auto
-  bool fellBack = false;  ///< Auto requested snapshots, the probe said no
-  std::shared_ptr<const SystemBaseline> baseline;  ///< snapshot mode only
+  std::shared_ptr<const SystemBaseline> baseline;  ///< null in Straight mode
   BbwSimResult golden;
   std::uint64_t goldenEvents = 0;  ///< events of the one golden run
 };
@@ -248,19 +243,12 @@ struct SystemEngine {
 SystemEngine makeSystemEngine(const SystemCampaignConfig& config) {
   SystemEngine engine;
   const BbwSimConfig sim = makeSimConfig(config);
-  if (config.mode != ExecutionMode::Straight && systemSnapshotSupported(sim)) {
-    engine.mode = ExecutionMode::Snapshot;
+  if (config.mode != ExecutionMode::Straight) {
     engine.baseline = std::make_shared<const SystemBaseline>(sim, config.checkpointStride);
     engine.golden = engine.baseline->goldenResult();
     engine.goldenEvents = engine.baseline->sweepEvents();
     return engine;
   }
-  if (config.mode == ExecutionMode::Snapshot) {
-    throw std::runtime_error(
-        "system campaign: configuration does not support replay checkpoints "
-        "(ExecutionMode::Snapshot requested)");
-  }
-  engine.fellBack = config.mode == ExecutionMode::Auto;
   BbwSystemSim goldenSim{sim};
   engine.golden = goldenSim.run();
   engine.goldenEvents = goldenSim.counterSnapshot().eventsProcessed;
@@ -271,8 +259,7 @@ SystemExperiment runSystemExperimentImpl(const SystemCampaignConfig& config,
                                          const SystemScenario& scenario,
                                          const BbwSimResult& golden, const GuestContext& ctx,
                                          obs::Registry* simMetrics = nullptr,
-                                         const SystemEngine* engine = nullptr,
-                                         snap::SnapshotCache* cache = nullptr,
+                                         const SystemBaseline* baseline = nullptr,
                                          SnapCounters* snap = nullptr) {
   SystemExperiment experiment;
   experiment.scenario = scenario;
@@ -295,42 +282,17 @@ SystemExperiment runSystemExperimentImpl(const SystemCampaignConfig& config,
   }
 
   BbwSystemSim sim{makeSimConfig(config)};
-  // The metrics registry attaches BEFORE any restore: a replay checkpoint
-  // re-executes the clean prefix on this fresh sim, streaming exactly the
-  // metrics a straight run would, so per-sim registries stay bit-identical
-  // across execution modes.
   if (simMetrics != nullptr) sim.setMetricsRegistry(simMetrics);
-
-  const bool snapshotMode =
-      engine != nullptr && engine->mode == ExecutionMode::Snapshot && cache != nullptr;
-  std::optional<std::size_t> restoredAt;
-  if (snapshotMode) {
-    restoredAt = engine->baseline->restoreBefore(sim, scenario.at.us(), *cache);
-    if (restoredAt && snap != nullptr) ++snap->resumePoints;
-  }
   armScenario(sim, scenario, injection);
 
-  if (snapshotMode && simMetrics == nullptr) {
-    // Splice path: stop simulating once the faulted run provably rejoins
-    // the golden timeline. (With a metrics sink attached the run always
-    // completes — rates and histograms cannot be spliced — so metrics
-    // campaigns pay straight-execution event counts for exact registries.)
-    std::optional<BbwSimResult> spliced =
-        engine->baseline->runToRejoin(sim, scenario.at.us(), restoredAt);
-    if (spliced) {
-      experiment.sim = *spliced;
-      if (snap != nullptr) ++snap->replayedCopies;
-    } else {
-      experiment.sim = sim.run();
-      if (snap != nullptr) ++snap->executedCopies;
-    }
-  } else {
-    experiment.sim = sim.run();
-    if (snap != nullptr) {
-      ++snap->executedCopies;
-      if (engine != nullptr && engine->fellBack) ++snap->straightFallbacks;
-    }
-  }
+  // Splice path: stop simulating once the faulted run provably rejoins the
+  // golden timeline. The splice hands the registry the same totals a
+  // complete run would (counters add, latency bins add, the max takes the
+  // max), so instrumented and plain experiments splice alike.
+  std::optional<BbwSimResult> spliced;
+  if (baseline != nullptr) spliced = baseline->runToRejoin(sim, scenario.at.us());
+  if (snap != nullptr) ++(spliced ? snap->replayedCopies : snap->executedCopies);
+  experiment.sim = spliced ? std::move(*spliced) : sim.run();
   if (snap != nullptr) snap->simulatedCycles += sim.counterSnapshot().eventsProcessed;
   experiment.outcome = classifyOutcome(config, golden, experiment.sim);
   return experiment;
@@ -481,86 +443,60 @@ void addCampaignCounters(obs::Registry& m, const SystemCampaignStats& stats) {
   // by ECC): reconciles the gap between campaign.outcome.masked and the
   // per-sim registries, which only see the simulated experiments.
   m.add("campaign.skipped_masked", stats.skippedMasked);
-  // Snapshot-engine counters land under the non-golden "wall." namespace:
+  // Splice-engine counters land under the non-golden "wall." namespace:
   // they legitimately differ between execution modes, and the golden
   // fingerprint must not (obs::Registry::goldenFingerprint skips "wall.").
   m.add("wall.snap.sys.simulated_cycles", stats.snap.simulatedCycles);
-  m.add("wall.snap.sys.snapshot_hits", stats.snap.snapshotHits);
-  m.add("wall.snap.sys.snapshot_misses", stats.snap.snapshotMisses);
-  m.add("wall.snap.sys.resume_points", stats.snap.resumePoints);
   m.add("wall.snap.sys.replayed_copies", stats.snap.replayedCopies);
   m.add("wall.snap.sys.executed_copies", stats.snap.executedCopies);
-  m.add("wall.snap.sys.straight_fallbacks", stats.snap.straightFallbacks);
 }
 
 /// Chunk accumulator pairing the campaign statistics with a chunk-local
-/// metrics registry; both merge in chunk order, so the merged registry is
-/// bit-identical at every thread count.
-struct ObsChunkStats {
+/// metrics registry (left empty without a metrics sink); both merge in
+/// chunk order, so the merged registry is bit-identical at every thread
+/// count.
+struct ChunkStats {
   std::size_t experiments = 0;
   SystemCampaignStats stats;
   obs::Registry sims;
 
-  void merge(const ObsChunkStats& other) {
+  void merge(const ChunkStats& other) {
     experiments += other.experiments;
     stats.merge(other.stats);
     sims.merge(other.sims);
   }
 };
 
-/// One sampled-and-classified experiment, folded into campaign statistics.
-/// `stratum == nullptr` samples crudely; otherwise inside the stratum.
-void runOneScenario(const SystemCampaignConfig& config, const GuestContext& ctx,
-                    const SystemEngine& engine, const StratumSpec* stratum, util::Rng& rng,
-                    SystemCampaignStats& stats, obs::Registry* simMetrics,
-                    snap::SnapshotCache* cache) {
-  const SystemScenario scenario = sampleScenarioImpl(config, rng, ctx, stratum);
-  const SystemExperiment experiment = runSystemExperimentImpl(
-      config, scenario, engine.golden, ctx, simMetrics, &engine, cache, &stats.snap);
-  ++stats.outcomes[static_cast<std::size_t>(experiment.outcome)];
-  ++stats.outcomesByKind[static_cast<std::size_t>(scenario.kind)]
-                        [static_cast<std::size_t>(experiment.outcome)];
-  stats.nodeLevel.merge(experiment.nodeLevel);
-  stats.stoppingDistanceM.add(experiment.sim.stoppingDistanceM);
-  if (experiment.sim.stopped) ++stats.stops;
-  if (experiment.skippedMasked) ++stats.skippedMasked;
-}
-
-/// Per-chunk snapshot state: a PRIVATE byte-bounded cache primed from the
-/// shared baseline (empty optional in straight mode). Chunk-private caches
-/// make hit/miss/eviction counters pure functions of the chunk contents,
-/// which the chunk-order merge then keeps bit-identical at every thread
-/// count.
-struct SnapChunkContext {
-  std::optional<snap::SnapshotCache> cache;
-};
-
-/// Builds the per-chunk setup/teardown hooks for `engine`. `snapOf` maps
-/// the chunk's Stats type to its SnapCounters (SystemCampaignStats::snap
-/// directly, or through ObsChunkStats::stats).
-template <typename Stats, typename SnapOf>
-exec::ChunkHooks<Stats, SnapChunkContext> makeSnapHooks(const SystemCampaignConfig& config,
-                                                        const SystemEngine& engine,
-                                                        SnapOf snapOf) {
-  exec::ChunkHooks<Stats, SnapChunkContext> hooks;
-  if (engine.mode != ExecutionMode::Snapshot) return hooks;
-  const std::size_t cacheBytes = config.snapshotCacheBytes;
-  const SystemBaseline* baseline = engine.baseline.get();
-  hooks.setup = [cacheBytes, baseline](std::size_t) {
-    SnapChunkContext ctx;
-    ctx.cache.emplace(cacheBytes);
-    baseline->primeCache(*ctx.cache);
-    return ctx;
-  };
-  // Teardown runs in-worker BEFORE the chunk-order merge, so the folded
-  // counters ride the same determinism guarantee as the statistics.
-  hooks.teardown = [snapOf](SnapChunkContext& ctx, Stats& stats) {
-    SnapCounters& snap = snapOf(stats);
-    snap.snapshotHits += ctx.cache->hits();
-    snap.snapshotMisses += ctx.cache->misses();
-    snap.snapshotBytes += ctx.cache->insertedBytes();
-  };
-  return hooks;
+/// Runs `experiments` sampled-and-classified experiments as one chunked
+/// campaign (crude sampling when `stratum` is null, otherwise inside the
+/// stratum); per-sim metrics land in the returned chunk registry when the
+/// campaign has a metrics sink.
+ChunkStats runScenarios(const SystemCampaignConfig& config, const GuestContext& ctx,
+                        const SystemEngine& engine, const StratumSpec* stratum,
+                        std::size_t experiments, std::uint64_t seed, const char* what,
+                        const exec::ProgressFn& onProgress) {
+  ChunkStats total =
+      exec::runStoppableChunkedCampaign<ChunkStats>(
+          experiments, seed, config.parallelism, what,
+          [&](util::Rng& rng, ChunkStats& chunk) {
+            const SystemScenario scenario = sampleScenarioImpl(config, rng, ctx, stratum);
+            SystemCampaignStats& stats = chunk.stats;
+            const SystemExperiment experiment = runSystemExperimentImpl(
+                config, scenario, engine.golden, ctx,
+                config.metrics != nullptr ? &chunk.sims : nullptr, engine.baseline.get(),
+                &stats.snap);
+            ++stats.outcomes[static_cast<std::size_t>(experiment.outcome)];
+            ++stats.outcomesByKind[static_cast<std::size_t>(scenario.kind)]
+                                  [static_cast<std::size_t>(experiment.outcome)];
+            stats.nodeLevel.merge(experiment.nodeLevel);
+            stats.stoppingDistanceM.add(experiment.sim.stoppingDistanceM);
+            if (experiment.sim.stopped) ++stats.stops;
+            if (experiment.skippedMasked) ++stats.skippedMasked;
+          },
+          {}, config.cancel, onProgress, config.metrics)
+          .stats;
+  total.stats.experiments = total.experiments;
+  return total;
 }
 
 }  // namespace
@@ -568,41 +504,17 @@ exec::ChunkHooks<Stats, SnapChunkContext> makeSnapHooks(const SystemCampaignConf
 SystemCampaignStats runSystemCampaign(const SystemCampaignConfig& config) {
   const GuestContext ctx = makeGuestContext();
   const SystemEngine engine = makeSystemEngine(config);
-
-  SystemCampaignStats stats;
-  if (config.metrics == nullptr) {
-    stats = exec::runStoppableChunkedCampaignWithHooks<SystemCampaignStats, SnapChunkContext>(
-                config.experiments, config.seed, config.parallelism, "runSystemCampaign",
-                [&](util::Rng& rng, SystemCampaignStats& chunk, SnapChunkContext& snapCtx) {
-                  runOneScenario(config, ctx, engine, nullptr, rng, chunk, nullptr,
-                                 snapCtx.cache ? &*snapCtx.cache : nullptr);
-                },
-                makeSnapHooks<SystemCampaignStats>(
-                    config, engine, [](SystemCampaignStats& s) -> SnapCounters& { return s.snap; }),
-                {}, config.cancel, config.onProgress)
-                .stats;
-  } else {
-    ObsChunkStats total =
-        exec::runStoppableChunkedCampaignWithHooks<ObsChunkStats, SnapChunkContext>(
-            config.experiments, config.seed, config.parallelism, "runSystemCampaign",
-            [&](util::Rng& rng, ObsChunkStats& chunk, SnapChunkContext& snapCtx) {
-              runOneScenario(config, ctx, engine, nullptr, rng, chunk.stats, &chunk.sims,
-                             snapCtx.cache ? &*snapCtx.cache : nullptr);
-            },
-            makeSnapHooks<ObsChunkStats>(
-                config, engine, [](ObsChunkStats& s) -> SnapCounters& { return s.stats.snap; }),
-            {}, config.cancel, config.onProgress, config.metrics)
-            .stats;
-    total.stats.experiments = total.experiments;
-    config.metrics->merge(total.sims);
-    stats = total.stats;
-  }
-  // The one golden run (snapshot sweep or straight reference) charges its
+  ChunkStats total = runScenarios(config, ctx, engine, nullptr, config.experiments, config.seed,
+                                  "runSystemCampaign", config.onProgress);
+  // The one golden run (splice sweep or straight reference) charges its
   // events once per campaign, in every mode — the speedup bench's ratio
   // compares total simulated work honestly.
-  stats.snap.simulatedCycles += engine.goldenEvents;
-  if (config.metrics != nullptr) addCampaignCounters(*config.metrics, stats);
-  return stats;
+  total.stats.snap.simulatedCycles += engine.goldenEvents;
+  if (config.metrics != nullptr) {
+    config.metrics->merge(total.sims);
+    addCampaignCounters(*config.metrics, total.stats);
+  }
+  return total.stats;
 }
 
 util::ProportionEstimate StratumResult::outcomeRate(SystemOutcome outcome) const {
@@ -706,38 +618,11 @@ StratifiedCampaignResult runStratifiedSystemCampaign(const SystemCampaignConfig&
       // grid. Each sub-campaign keeps the usual chunk-order determinism.
       const std::uint64_t stratumSeed =
           config.seed ^ (0x9e3779b97f4a7c15ULL * (static_cast<std::uint64_t>(h) + 1));
-      if (config.metrics == nullptr) {
-        stratumResult.stats =
-            exec::runStoppableChunkedCampaignWithHooks<SystemCampaignStats, SnapChunkContext>(
-                strata[h].experiments, stratumSeed, config.parallelism,
-                "runStratifiedSystemCampaign",
-                [&](util::Rng& rng, SystemCampaignStats& stats, SnapChunkContext& snapCtx) {
-                  runOneScenario(config, ctx, engine, &strata[h], rng, stats, nullptr,
-                                 snapCtx.cache ? &*snapCtx.cache : nullptr);
-                },
-                makeSnapHooks<SystemCampaignStats>(
-                    config, engine,
-                    [](SystemCampaignStats& s) -> SnapCounters& { return s.snap; }),
-                {}, config.cancel)
-                .stats;
-      } else {
-        ObsChunkStats chunk =
-            exec::runStoppableChunkedCampaignWithHooks<ObsChunkStats, SnapChunkContext>(
-                strata[h].experiments, stratumSeed, config.parallelism,
-                "runStratifiedSystemCampaign",
-                [&](util::Rng& rng, ObsChunkStats& obsChunk, SnapChunkContext& snapCtx) {
-                  runOneScenario(config, ctx, engine, &strata[h], rng, obsChunk.stats,
-                                 &obsChunk.sims, snapCtx.cache ? &*snapCtx.cache : nullptr);
-                },
-                makeSnapHooks<ObsChunkStats>(
-                    config, engine,
-                    [](ObsChunkStats& s) -> SnapCounters& { return s.stats.snap; }),
-                {}, config.cancel, {}, config.metrics)
-                .stats;
-        chunk.stats.experiments = chunk.experiments;
-        stratumResult.stats = chunk.stats;
-        sims.merge(chunk.sims);
-      }
+      const ChunkStats chunk = runScenarios(config, ctx, engine, &strata[h],
+                                            strata[h].experiments, stratumSeed,
+                                            "runStratifiedSystemCampaign", {});
+      stratumResult.stats = chunk.stats;
+      sims.merge(chunk.sims);
     }
     result.total.merge(stratumResult.stats);
     result.strata.push_back(std::move(stratumResult));

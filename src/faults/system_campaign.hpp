@@ -131,15 +131,11 @@ struct SystemCampaignConfig {
   bbw::BbwSimConfig sim{};
 
   /// How experiments execute (docs/SNAPSHOT.md "system campaigns"). Auto
-  /// probes replay-checkpoint support once per campaign and falls back to
-  /// straight execution when checkpoints do not round-trip for this
-  /// configuration; Snapshot throws in that case; Straight always runs
-  /// every simulation from t=0. Statistics and metrics fingerprints are
-  /// bit-identical across all three.
+  /// and Snapshot build one golden timeline per campaign and splice the
+  /// golden tail onto every experiment that provably rejoins it; Straight
+  /// runs every simulation to its end. Statistics and metrics fingerprints
+  /// are bit-identical across all three.
   ExecutionMode mode = ExecutionMode::Auto;
-  /// Byte budget of each chunk's PRIVATE snapshot cache (snapshot modes
-  /// only). Chunk-private caches keep hit/miss counters thread-invariant.
-  std::size_t snapshotCacheBytes = 4u << 20;
   /// Golden checkpoint stride (0 = one control period).
   util::Duration checkpointStride{};
 
@@ -171,10 +167,13 @@ struct SystemCampaignStats {
   /// golden result copied in, and simulated in NO execution mode — the
   /// "campaign.skipped_masked" metric reconciles against this.
   std::size_t skippedMasked = 0;
-  /// Snapshot/copy-on-inject engine counters. Stats-only by design: they
-  /// differ between execution modes, so folding them into the golden
-  /// metrics namespace would break cross-mode fingerprint equality (they
-  /// appear in run reports under "wall.snap.sys.*" instead).
+  /// Splice-engine counters: simulatedCycles (DES events, the golden run
+  /// included), replayedCopies (experiments finished by a golden-tail
+  /// splice) and executedCopies (experiments simulated to their end); the
+  /// other fields stay zero. Stats-only by design: they differ between
+  /// execution modes, so folding them into the golden metrics namespace
+  /// would break cross-mode fingerprint equality (they appear in run
+  /// reports under "wall.snap.sys.*" instead).
   SnapCounters snap;
 
   void merge(const SystemCampaignStats& other);

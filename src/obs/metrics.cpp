@@ -64,29 +64,52 @@ void Registry::gaugeMax(const std::string& name, double value) {
   if (!inserted) it->second = std::max(it->second, value);
 }
 
-void Registry::observe(const std::string& name, const HistogramSpec& spec, double value) {
+std::size_t bucketIndex(const HistogramSpec& spec, double value) {
+  const double clamped = std::min(std::max(value, spec.lo), spec.hi);
+  const double width = (spec.hi - spec.lo) / static_cast<double>(spec.buckets);
+  const std::size_t bucket =
+      value < spec.lo ? 0 : static_cast<std::size_t>((clamped - spec.lo) / width);
+  return std::min(bucket, spec.buckets - 1);
+}
+
+Registry::HistogramState& Registry::histogramFor(const std::string& name,
+                                                 const HistogramSpec& spec, const char* caller) {
   if (spec.buckets == 0 || !(spec.lo < spec.hi)) {
-    throw std::invalid_argument("Registry::observe: bad histogram spec for " + name);
+    throw std::invalid_argument(std::string{caller} + ": bad histogram spec for " + name);
   }
-  std::scoped_lock lock{mutex_};
   auto [it, inserted] = histograms_.try_emplace(name);
   HistogramState& state = it->second;
   if (inserted) {
     state.spec = spec;
     state.counts.assign(spec.buckets, 0);
   } else if (!(state.spec == spec)) {
-    throw std::invalid_argument("Registry::observe: histogram spec mismatch for " + name +
+    throw std::invalid_argument(std::string{caller} + ": histogram spec mismatch for " + name +
                                 ": registered " + describeSpec(state.spec) + " vs observed " +
                                 describeSpec(spec));
   }
-  const double clamped = std::min(std::max(value, spec.lo), spec.hi);
-  const double width = (spec.hi - spec.lo) / static_cast<double>(spec.buckets);
-  std::size_t bucket = value < spec.lo
-                           ? 0
-                           : static_cast<std::size_t>((clamped - spec.lo) / width);
-  bucket = std::min(bucket, spec.buckets - 1);
-  ++state.counts[bucket];
+  return state;
+}
+
+void Registry::observe(const std::string& name, const HistogramSpec& spec, double value) {
+  std::scoped_lock lock{mutex_};
+  HistogramState& state = histogramFor(name, spec, "Registry::observe");
+  ++state.counts[bucketIndex(spec, value)];
   ++state.total;
+}
+
+void Registry::addHistogram(const std::string& name, const HistogramSpec& spec,
+                            std::span<const std::uint64_t> counts) {
+  if (counts.size() != spec.buckets) {
+    throw std::invalid_argument("Registry::addHistogram: " + std::to_string(counts.size()) +
+                                " counts for a " + std::to_string(spec.buckets) +
+                                "-bucket histogram " + name);
+  }
+  std::scoped_lock lock{mutex_};
+  HistogramState& state = histogramFor(name, spec, "Registry::addHistogram");
+  for (std::size_t b = 0; b < counts.size(); ++b) {
+    state.counts[b] += counts[b];
+    state.total += counts[b];
+  }
 }
 
 std::uint64_t Registry::count(const std::string& name) const {

@@ -25,6 +25,7 @@
 #include <cstdint>
 #include <map>
 #include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -40,6 +41,12 @@ struct HistogramSpec {
   std::size_t buckets = 10;
   friend bool operator==(const HistogramSpec&, const HistogramSpec&) = default;
 };
+
+/// The bucket `value` falls into under `spec` (out-of-range values clamp to
+/// the first/last bucket). The one binning rule of every histogram: code that
+/// pre-bins samples itself and hands the counts to Registry::addHistogram
+/// lands them exactly where observe() would.
+[[nodiscard]] std::size_t bucketIndex(const HistogramSpec& spec, double value);
 
 /// Snapshot of one histogram (returned by Registry::histogram()).
 struct HistogramSnapshot {
@@ -71,6 +78,13 @@ class Registry {
   /// Records `value` into the named histogram. The spec is fixed on first
   /// use; a later observe with a different spec throws std::invalid_argument.
   void observe(const std::string& name, const HistogramSpec& spec, double value);
+
+  /// Adds pre-binned counts (one per bucket of `spec`, binned by
+  /// bucketIndex) to the named histogram: the same result as one observe()
+  /// per sample, in any order. Spec rules as for observe(); a count vector
+  /// of the wrong length throws std::invalid_argument.
+  void addHistogram(const std::string& name, const HistogramSpec& spec,
+                    std::span<const std::uint64_t> counts);
 
   [[nodiscard]] std::uint64_t count(const std::string& name) const;  ///< 0 if absent
   [[nodiscard]] double gauge(const std::string& name) const;         ///< 0.0 if absent
@@ -105,6 +119,11 @@ class Registry {
     std::vector<std::uint64_t> counts;
     std::uint64_t total = 0;
   };
+
+  /// The named histogram, created with `spec` on first use; throws on a bad
+  /// or mismatched spec. Caller holds mutex_.
+  HistogramState& histogramFor(const std::string& name, const HistogramSpec& spec,
+                               const char* caller);
 
   mutable std::mutex mutex_;
   std::map<std::string, std::uint64_t> counters_;

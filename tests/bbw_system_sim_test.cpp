@@ -3,7 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
 #include <tuple>
+
+#include "obs/metrics.hpp"
 
 namespace nlft::bbw {
 namespace {
@@ -306,6 +310,52 @@ TEST(BbwSystem, DeterministicReplay) {
     return sim.run().stoppingDistanceM;
   };
   EXPECT_DOUBLE_EQ(distance(), distance());
+}
+
+TEST(BbwSystem, FinishSplicedExportsPrefixPlusTail) {
+  // Splicing a known future onto a live run: counters and latency samples
+  // add, the latency max takes the larger side, and the registry receives
+  // those totals exactly as run() would export them.
+  obs::Registry metrics;
+  BbwSystemSim sim{baseConfig(NodeType::Nlft)};
+  sim.setMetricsRegistry(&metrics);
+  sim.runUntil(SimTime::fromUs(500'000));
+  const BbwSystemCounters prefix = sim.counterSnapshot();
+  const EndToEndLatency prefixLatency = sim.endToEndLatency();
+  ASSERT_GT(prefixLatency.samples, 0u);
+  ASSERT_LT(prefixLatency.maxUs, 42'000.0);
+
+  BbwSystemCounters tail;
+  tail.eventsProcessed = 1000;
+  tail.commandFramesDelivered = 3;
+  tail.controlOmissions = 2;
+  tail.tem.jobs = 7;
+  EndToEndLatency tailLatency;
+  tailLatency.add(42'000.0);  // beyond every prefix sample
+  tailLatency.add(100.0);
+  BbwSimResult final;
+  final.stopped = true;
+  final.stoppingDistanceM = 12.5;
+  const BbwSimResult result = sim.finishSpliced(final, tail, tailLatency);
+
+  EXPECT_TRUE(result.stopped);
+  EXPECT_EQ(result.stoppingDistanceM, 12.5);
+  EXPECT_EQ(result.commandFramesDelivered, prefix.commandFramesDelivered + 3);
+  EXPECT_EQ(metrics.count("sim.events_processed"), prefix.eventsProcessed + 1000);
+  EXPECT_EQ(metrics.count("sys.command_frames_delivered"), prefix.commandFramesDelivered + 3);
+  EXPECT_EQ(metrics.count("kernel.control.omissions"), prefix.controlOmissions + 2);
+  EXPECT_EQ(metrics.count("tem.jobs"), prefix.tem.jobs + 7);
+  EXPECT_EQ(metrics.gauge("e2e.latency.max_us"), 42'000.0);
+  const obs::HistogramSnapshot histogram = metrics.histogram("e2e.latency");
+  EXPECT_EQ(histogram.total, prefixLatency.samples + 2u);
+  EXPECT_EQ(histogram.counts[0], prefixLatency.bins[0] + 1u);
+  EXPECT_EQ(histogram.counts[42], prefixLatency.bins[42] + 1u);
+
+  // Trace lines cannot be spliced: a traced run refuses.
+  BbwSystemSim traced{baseConfig(NodeType::Nlft)};
+  traced.setTraceSink([](const std::string&) {});
+  traced.runUntil(SimTime::fromUs(500'000));
+  EXPECT_THROW((void)traced.finishSpliced(final, tail, tailLatency), std::logic_error);
 }
 
 }  // namespace

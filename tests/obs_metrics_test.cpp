@@ -152,6 +152,29 @@ TEST(ObsMetricsProperty, HistogramBucketCountsSumToSampleCount) {
   EXPECT_EQ(snapshot.total, samples);
 }
 
+// Pre-binned counts (bucketIndex + addHistogram) land exactly where one
+// observe() per sample would, out-of-range samples included.
+TEST(ObsMetricsProperty, PreBinnedCountsEqualPerSampleObserves) {
+  Rng rng{7};
+  Registry observed;
+  Registry preBinned;
+  for (int batch = 0; batch < 20; ++batch) {
+    std::vector<std::uint64_t> bins(kSpec.buckets, 0);
+    for (int i = 0; i < 100; ++i) {
+      const double value = rng.uniform(-20.0, 80.0);
+      observed.observe("h", kSpec, value);
+      ++bins[bucketIndex(kSpec, value)];
+    }
+    preBinned.addHistogram("h", kSpec, bins);
+  }
+  EXPECT_EQ(preBinned.goldenFingerprint(), observed.goldenFingerprint());
+  EXPECT_THROW(preBinned.addHistogram("h", kSpec, std::vector<std::uint64_t>(3, 0)),
+               std::invalid_argument);
+  EXPECT_THROW(preBinned.addHistogram("h", HistogramSpec{0.0, 50.0, 3},
+                                      std::vector<std::uint64_t>(3, 0)),
+               std::invalid_argument);
+}
+
 TEST(ObsMetrics, CounterGaugeBasics) {
   Registry registry;
   EXPECT_EQ(registry.count("absent"), 0u);

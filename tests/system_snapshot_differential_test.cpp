@@ -1,21 +1,21 @@
-// Differential equivalence suite for the SYSTEM-level snapshot campaign
-// engine (docs/SNAPSHOT.md "system campaigns"): snapshot-forked execution —
-// restore at the nearest checkpoint before the injection, splice the golden
-// tail after rejoin — must be indistinguishable from straight execution in
-// every observable: campaign statistics, metrics fingerprints, golden event
-// traces. Thread counts and cache budgets may only move wall-clock time and
-// the snap.* engine counters, never a result.
+// Differential equivalence suite for the SYSTEM-level splice campaign
+// engine (docs/SNAPSHOT.md "system campaigns"): every experiment simulates
+// from t=0 and, once it provably rejoins the golden timeline, has the golden
+// tail spliced on. Spliced execution must be indistinguishable from
+// straight execution in every observable: campaign statistics, metrics
+// fingerprints, golden event traces. Thread counts may only move
+// wall-clock time, never a result or an engine counter.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
+#include <optional>
 #include <stdexcept>
 
 #include "faults/golden_trace.hpp"
 #include "faults/snapshot_exec.hpp"
 #include "faults/system_campaign.hpp"
 #include "obs/metrics.hpp"
-#include "snap/cache.hpp"
 
 namespace nlft::fi {
 namespace {
@@ -63,13 +63,8 @@ void expectSameResults(const SystemCampaignStats& a, const SystemCampaignStats& 
 
 void expectSameSnapCounters(const SnapCounters& a, const SnapCounters& b) {
   EXPECT_EQ(a.simulatedCycles, b.simulatedCycles);
-  EXPECT_EQ(a.snapshotHits, b.snapshotHits);
-  EXPECT_EQ(a.snapshotMisses, b.snapshotMisses);
-  EXPECT_EQ(a.snapshotBytes, b.snapshotBytes);
-  EXPECT_EQ(a.resumePoints, b.resumePoints);
   EXPECT_EQ(a.replayedCopies, b.replayedCopies);
   EXPECT_EQ(a.executedCopies, b.executedCopies);
-  EXPECT_EQ(a.straightFallbacks, b.straightFallbacks);
 }
 
 TEST(SystemSnapshotDifferential, SnapshotStatsBitIdenticalToStraight) {
@@ -77,14 +72,12 @@ TEST(SystemSnapshotDifferential, SnapshotStatsBitIdenticalToStraight) {
   const SystemCampaignStats snapshot = runSystemCampaign(smallConfig(ExecutionMode::Snapshot));
   expectSameResults(straight, snapshot);
 
-  // The engine actually engaged: restores served, at least one experiment
-  // answered by a golden-tail splice, and strictly fewer simulated events.
-  EXPECT_GT(snapshot.snap.resumePoints, 0u);
+  // The engine actually engaged: at least one experiment answered by a
+  // golden-tail splice, and strictly fewer simulated events.
   EXPECT_GT(snapshot.snap.replayedCopies, 0u);
-  EXPECT_GT(snapshot.snap.snapshotHits, 0u);
   EXPECT_LT(snapshot.snap.simulatedCycles, straight.snap.simulatedCycles);
-  EXPECT_EQ(snapshot.snap.straightFallbacks, 0u);
-  EXPECT_EQ(straight.snap.resumePoints, 0u);
+  EXPECT_EQ(snapshot.snap.replayedCopies + snapshot.snap.executedCopies + snapshot.skippedMasked,
+            static_cast<std::uint64_t>(snapshot.experiments));
   EXPECT_EQ(straight.snap.replayedCopies, 0u);
   // Straight mode still accounts its simulated work.
   EXPECT_GT(straight.snap.simulatedCycles, 0u);
@@ -92,10 +85,8 @@ TEST(SystemSnapshotDifferential, SnapshotStatsBitIdenticalToStraight) {
             static_cast<std::uint64_t>(straight.experiments));
 }
 
-TEST(SystemSnapshotDifferential, AutoResolvesToSnapshotForSupportedConfigs) {
-  const SystemCampaignConfig config = smallConfig(ExecutionMode::Auto);
-  ASSERT_TRUE(systemSnapshotSupported(config.sim));
-  const SystemCampaignStats autoStats = runSystemCampaign(config);
+TEST(SystemSnapshotDifferential, AutoMatchesSnapshot) {
+  const SystemCampaignStats autoStats = runSystemCampaign(smallConfig(ExecutionMode::Auto));
   const SystemCampaignStats snapshot = runSystemCampaign(smallConfig(ExecutionMode::Snapshot));
   expectSameResults(autoStats, snapshot);
   expectSameSnapCounters(autoStats.snap, snapshot.snap);
@@ -109,8 +100,9 @@ TEST(SystemSnapshotDifferential, ThreadCountInvariantIncludingSnapCounters) {
     config.parallelism.threads = threads;
     const SystemCampaignStats parallel = runSystemCampaign(config);
     expectSameResults(serial, parallel);
-    // snap.* counters are chunk-order merged sums of chunk-private caches:
-    // bit-identical at every thread count, not just statistically equal.
+    // snap.* counters are chunk-order merged sums of per-experiment
+    // counts: bit-identical at every thread count, not just statistically
+    // equal.
     expectSameSnapCounters(serial.snap, parallel.snap);
   }
 }
@@ -130,34 +122,14 @@ TEST(SystemSnapshotDifferential, MetricsFingerprintIdenticalAcrossModesAndThread
     const SystemCampaignStats snapshot = runSystemCampaign(snapConfig);
     expectSameResults(straight, snapshot);
     // The golden fingerprint covers every non-"wall." metric — per-sim
-    // kernel/TEM/bus registries and the campaign.* reducers. Snapshot
-    // restores replay the clean prefix with the registry attached, so the
-    // registries agree to the byte even though execution was forked.
+    // kernel/TEM/bus registries, the e2e latency histogram and its max, and
+    // the campaign.* reducers. Spliced experiments export the same totals a
+    // complete run would, so the registries agree to the byte.
     EXPECT_EQ(snapshotMetrics.goldenFingerprint(), goldenPrint) << "threads=" << threads;
-    // Metrics-instrumented experiments never splice (rates cannot be
-    // patched post hoc), so every simulated experiment ran to completion.
-    EXPECT_EQ(snapshot.snap.replayedCopies, 0u);
-    EXPECT_GT(snapshot.snap.resumePoints, 0u);
+    // Metrics-instrumented experiments splice like plain ones.
+    EXPECT_GT(snapshot.snap.replayedCopies, 0u);
+    EXPECT_LT(snapshot.snap.simulatedCycles, straight.snap.simulatedCycles);
   }
-}
-
-TEST(SystemSnapshotDifferential, TinyCacheEvictsButNeverChangesResults) {
-  const SystemCampaignStats straight = runSystemCampaign(smallConfig(ExecutionMode::Straight));
-
-  // A cache budget far below one blob still keeps exactly one entry (the
-  // LRU never evicts its last snapshot), so restores stay available while
-  // out-of-order scenario times churn the cache hard.
-  SystemCampaignConfig tiny = smallConfig(ExecutionMode::Snapshot);
-  tiny.snapshotCacheBytes = 300;
-  const SystemCampaignStats small = runSystemCampaign(tiny);
-  expectSameResults(straight, small);
-  EXPECT_GT(small.snap.snapshotMisses, 0u);
-
-  SystemCampaignConfig roomy = smallConfig(ExecutionMode::Snapshot);
-  roomy.snapshotCacheBytes = 64u << 20;
-  const SystemCampaignStats large = runSystemCampaign(roomy);
-  expectSameResults(straight, large);
-  EXPECT_GT(large.snap.snapshotHits, small.snap.snapshotHits);
 }
 
 TEST(SystemSnapshotDifferential, StratifiedCampaignMatchesAcrossModes) {
@@ -175,6 +147,114 @@ TEST(SystemSnapshotDifferential, StratifiedCampaignMatchesAcrossModes) {
   }
   expectSameResults(straight.total, snapshot.total);
   EXPECT_LT(snapshot.total.snap.simulatedCycles, straight.total.snap.simulatedCycles);
+}
+
+TEST(SystemSnapshotDifferential, StratifiedMetricsFingerprintIdenticalAcrossModesAndThreads) {
+  obs::Registry straightMetrics;
+  SystemCampaignConfig config = smallConfig(ExecutionMode::Straight);
+  config.experiments = 72;
+  config.metrics = &straightMetrics;
+  const StratifiedCampaignResult straight = runStratifiedSystemCampaign(config, 2);
+  const std::string goldenPrint = straightMetrics.goldenFingerprint();
+
+  for (const unsigned threads : {1u, 2u, 8u}) {
+    obs::Registry snapshotMetrics;
+    SystemCampaignConfig snapConfig = smallConfig(ExecutionMode::Snapshot);
+    snapConfig.experiments = 72;
+    snapConfig.parallelism.threads = threads;
+    snapConfig.metrics = &snapshotMetrics;
+    const StratifiedCampaignResult snapshot = runStratifiedSystemCampaign(snapConfig, 2);
+    expectSameResults(straight.total, snapshot.total);
+    EXPECT_EQ(snapshotMetrics.goldenFingerprint(), goldenPrint) << "threads=" << threads;
+    EXPECT_GT(snapshot.total.snap.replayedCopies, 0u);
+  }
+}
+
+TEST(SystemSnapshotDifferential, LatencySamplesStraddlingTheSpliceAreExact) {
+  // A wheel applies command k several milliseconds after a CU sampled the
+  // pedal for it, so at any rejoin point some sequences are sampled but not
+  // yet applied: their e2e.latency samples start in the simulated prefix
+  // and land in the spliced golden tail. Masked computation faults on a CU
+  // heal at once and splice early; the registry of every spliced run must
+  // equal the straight run's, histogram bins and max gauge included.
+  bbw::BbwSimConfig config;
+  config.initialSpeedMps = 15.0;
+  config.horizon = Duration::seconds(8);
+  const SystemBaseline baseline{config};
+
+  std::size_t straddling = 0;
+  for (const std::int64_t atUs : {203'000, 517'500, 1'000'250, 1'404'000}) {
+    for (const net::NodeId node : {bbw::kCuA, bbw::kCuB}) {
+      SCOPED_TRACE("node " + std::to_string(node) + " at " + std::to_string(atUs) + "us");
+      const util::SimTime at = util::SimTime::fromUs(atUs);
+
+      obs::Registry straightMetrics;
+      bbw::BbwSystemSim straight{config};
+      straight.setMetricsRegistry(&straightMetrics);
+      straight.injectComputationFault(node, at);
+      const bbw::BbwSimResult expected = straight.run();
+
+      obs::Registry splicedMetrics;
+      bbw::BbwSystemSim scratch{config};
+      scratch.setMetricsRegistry(&splicedMetrics);
+      scratch.injectComputationFault(node, at);
+      const std::optional<bbw::BbwSimResult> spliced = baseline.runToRejoin(scratch, atUs);
+      ASSERT_TRUE(spliced.has_value());
+      EXPECT_LT(scratch.counterSnapshot().eventsProcessed,
+                straight.counterSnapshot().eventsProcessed);
+
+      EXPECT_EQ(splicedMetrics.goldenFingerprint(), straightMetrics.goldenFingerprint());
+      EXPECT_EQ(splicedMetrics.histogram("e2e.latency").counts,
+                straightMetrics.histogram("e2e.latency").counts);
+      EXPECT_EQ(splicedMetrics.gauge("e2e.latency.max_us"),
+                straightMetrics.gauge("e2e.latency.max_us"));
+      EXPECT_EQ(spliced->stoppingDistanceM, expected.stoppingDistanceM);
+      EXPECT_EQ(spliced->errorsMaskedByTem, expected.errorsMaskedByTem);
+
+      // Witness the straddle on a twin of the faulted run: some sample
+      // taken within one stride after the splice point has a latency
+      // longer than the time elapsed since that point, i.e. its pedal was
+      // sampled before the splice.
+      const std::int64_t spliceUs = scratch.simulator().now().us();
+      bbw::BbwSystemSim twin{config};
+      twin.injectComputationFault(node, at);
+      twin.runUntil(util::SimTime::fromUs(spliceUs));
+      ASSERT_EQ(twin.simulator().now().us(), spliceUs);
+      twin.runUntil(util::SimTime::fromUs(spliceUs + baseline.strideUs()));
+      const std::int64_t elapsedUs = twin.simulator().now().us() - spliceUs;
+      if (twin.endToEndLatency().windowMaxUs > static_cast<double>(elapsedUs)) ++straddling;
+    }
+  }
+  EXPECT_GT(straddling, 0u);
+}
+
+TEST(SystemSnapshotDifferential, GoldenLatencyTailMatchesATwinRun) {
+  // The latency tail a splice adds at checkpoint i — bins, count, largest
+  // sample — must be what a golden twin samples after that grid point. A
+  // 4.1 ms control period drifts against the 4 ms bus cycle, so the
+  // latencies vary along the stop instead of repeating one value.
+  bbw::BbwSimConfig config;
+  config.initialSpeedMps = 15.0;
+  config.horizon = Duration::seconds(8);
+  config.controlPeriod = Duration::microseconds(4100);
+  const SystemBaseline baseline{config};
+  const std::size_t n = baseline.checkpoints().size();
+  ASSERT_GT(n, 4u);
+  for (const std::size_t i : {std::size_t{0}, std::size_t{1}, n / 2, n - 2, n - 1}) {
+    SCOPED_TRACE("checkpoint " + std::to_string(i));
+    bbw::BbwSystemSim twin{config};
+    twin.runUntil(util::SimTime::fromUs(baseline.checkpoints()[i].gridUs));
+    const bbw::EndToEndLatency before = twin.endToEndLatency();
+    twin.runUntil(util::SimTime::zero() + config.horizon);
+    const bbw::EndToEndLatency& after = twin.endToEndLatency();
+
+    const bbw::EndToEndLatency tail = baseline.latencyAfter(i);
+    for (std::size_t b = 0; b < tail.bins.size(); ++b) {
+      EXPECT_EQ(tail.bins[b], after.bins[b] - before.bins[b]) << "bin " << b;
+    }
+    EXPECT_EQ(tail.samples, after.samples - before.samples);
+    EXPECT_EQ(tail.maxUs, after.windowMaxUs);
+  }
 }
 
 TEST(SystemSnapshotDifferential, ForkedGoldenTracesAreLineIdentical) {
@@ -195,39 +275,14 @@ TEST(SystemSnapshotDifferential, ForkedGoldenTracesAreLineIdentical) {
   }
 }
 
-TEST(SystemSnapshotDifferential, CorruptedRestoreAbortsLoudly) {
-  bbw::BbwSimConfig config;
-  config.initialSpeedMps = 15.0;
-  config.horizon = Duration::seconds(8);
-  const SystemBaseline baseline{config};
-  ASSERT_GT(baseline.checkpoints().size(), 4u);
-
-  // A cache holding ONLY a byte-flipped blob at one checkpoint key: the
-  // restore walk probes it first and must throw, never silently fall back
-  // to straight execution or to an earlier checkpoint.
-  const std::size_t k = baseline.checkpoints().size() / 2;
-  const SystemCheckpoint& victim = baseline.checkpoints()[k];
-  std::vector<std::uint8_t> corrupted = victim.blob;
-  corrupted[corrupted.size() / 2] ^= 0x40;
-  snap::SnapshotCache cache{1u << 20};
-  cache.insert({static_cast<std::uint64_t>(victim.gridUs), 0}, corrupted);
-
-  bbw::BbwSystemSim scratch{config};
-  EXPECT_THROW(
-      { (void)baseline.restoreBefore(scratch, victim.clockUs + 1, cache); },
-      std::runtime_error);
-}
-
 TEST(SystemSnapshotDifferential, PedalProfileClosureForksBitIdentically) {
-  // A checkpoint blob pins a pedal-profile closure only by PRESENCE (code
-  // cannot be serialized), but every campaign sim is built from the SAME
-  // config object, so the replay re-executes the same closure and the
-  // support probe accepts it. Forked execution must still match straight
+  // Every campaign sim, the golden sweep included, is built from the SAME
+  // config object, so the splice compares runs that execute the same
+  // pedal-profile closure. Spliced execution must still match straight
   // execution exactly under a non-default profile.
   SystemCampaignConfig straightConfig = smallConfig(ExecutionMode::Straight);
   straightConfig.experiments = 16;
   straightConfig.sim.pedalProfile = [](double) { return 0.8; };
-  ASSERT_TRUE(systemSnapshotSupported(straightConfig.sim));
   const SystemCampaignStats straight = runSystemCampaign(straightConfig);
 
   SystemCampaignConfig snapConfig = straightConfig;
@@ -235,8 +290,9 @@ TEST(SystemSnapshotDifferential, PedalProfileClosureForksBitIdentically) {
   const SystemCampaignStats snapshot = runSystemCampaign(snapConfig);
   expectSameResults(straight, snapshot);
 
-  // But restoring that blob into a sim whose config LACKS the closure must
-  // abort on the config-digest mismatch, not silently replay a different
+  // A replay checkpoint pins the closure only by PRESENCE (code cannot be
+  // serialized): restoring one into a sim whose config LACKS the closure
+  // must abort on the config-digest mismatch, not silently replay a different
   // braking profile.
   bbw::BbwSimConfig with = straightConfig.sim;
   with.nodeType = straightConfig.nodeType;
