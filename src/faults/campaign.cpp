@@ -195,19 +195,17 @@ class StraightSource {
 /// Snapshot execution plan for one (image, golden) pair. Built once per
 /// campaign by the clean-fixed-point protocol (docs/SNAPSHOT.md): two clean
 /// copies are executed back to back on one machine and must reproduce the
-/// golden run byte for byte, with the post-reset behavior digest reaching a
-/// fixed point. Only then may the engine (a) replay clean copies without
-/// executing them and (b) fork faulted copy >= 2 from the fixed-point start
-/// state. Images that fail any check run straight (snap.straightFallbacks).
+/// golden run byte for byte, with the post-reset machine returning exactly
+/// to the state it started the second copy from (fi::sameBehavior). Only
+/// then may the engine (a) replay clean copies without executing them and
+/// (b) fork faulted copy >= 2 from that fixed point. Images that fail any
+/// check run straight (snap.straightFallbacks).
 struct TemSnapshotPlan {
   bool supported = false;
   CopyRun cleanRun;               ///< byte-equal to the golden run (verified)
-  std::uint64_t cleanDigest = 0;  ///< behaviorDigest of the post-reset fixed point
   hw::Machine startMachine1;      ///< fresh machine, context reset (copy-1 band)
-  hw::Machine startMachine2;      ///< after one clean copy + reset (copy->=2 band)
-  std::vector<std::uint8_t> startBlob1;  ///< serialized startMachine1 (round-trip checked)
-  std::vector<std::uint8_t> startBlob2;  ///< serialized startMachine2 (round-trip checked)
-  std::uint64_t planInstructions = 0;    ///< verification cycles (charged to snap mode)
+  hw::Machine startMachine2;      ///< the clean fixed point: after one clean copy + reset
+  std::uint64_t planInstructions = 0;  ///< verification cycles (charged to snap mode)
 };
 
 TemSnapshotPlan buildTemSnapshotPlan(const TaskImage& image, const CopyRun& golden) {
@@ -215,25 +213,22 @@ TemSnapshotPlan buildTemSnapshotPlan(const TaskImage& image, const CopyRun& gold
   hw::Machine machine = makeMachine(image);
   resetContext(machine, image);
   plan.startMachine1 = machine;
-  plan.startBlob1 = machine.saveState();
   const CopyRun first = runCopyWithInjection(machine, image, 0, {});
   plan.planInstructions += first.instructions;
   if (!copyRunsEqual(first, golden)) return plan;
   resetContext(machine, image);
   plan.startMachine2 = machine;
-  plan.startBlob2 = machine.saveState();
-  plan.cleanDigest = behaviorDigest(machine);
   const CopyRun second = runCopyWithInjection(machine, image, 0, {});
   plan.planInstructions += second.instructions;
   if (!copyRunsEqual(second, first)) return plan;
   resetContext(machine, image);
-  if (behaviorDigest(machine) != plan.cleanDigest) return plan;
-  // The serialized start states must round-trip to the exact live state —
+  if (!sameBehavior(machine, plan.startMachine2)) return plan;
+  // The serialized fixed point must round-trip to the exact live state —
   // this pins the snapshot format against the campaign engine on every
   // campaign, not only in the dedicated round-trip tests.
   hw::Machine roundTrip;
-  roundTrip.restoreState(plan.startBlob2);
-  if (behaviorDigest(roundTrip) != plan.cleanDigest) return plan;
+  roundTrip.restoreState(plan.startMachine2.saveState());
+  if (!sameBehavior(roundTrip, plan.startMachine2)) return plan;
   plan.cleanRun = first;
   plan.supported = true;
   return plan;
@@ -242,7 +237,7 @@ TemSnapshotPlan buildTemSnapshotPlan(const TaskImage& image, const CopyRun& gold
 /// Copy-on-inject source: the faulted copy forks from the band baseline at
 /// the injection instant; clean copies before the fault replay the verified
 /// clean run at zero cost; copies after the fault replay it only when the
-/// post-reset machine digests back to the clean fixed point, and execute
+/// post-reset machine compares equal to the clean fixed point, and execute
 /// for real otherwise (conservative: any residual fault effect — latent
 /// memory upsets, stuck-at faults, ECC counter changes — forces execution).
 class SnapshotSource {
@@ -279,7 +274,7 @@ class SnapshotSource {
     // Copy after the faulted one: the kernel's context reset may or may not
     // return the machine to the clean fixed point.
     resetContext(scratch_, image_);
-    if (behaviorDigest(scratch_) == plan_.cleanDigest) {
+    if (sameBehavior(scratch_, plan_.startMachine2)) {
       faulted_ = false;  // back at the fixed point; later copies stay clean
       recovered_ = true;
       ++snap_.replayedCopies;
@@ -504,13 +499,21 @@ CopyRun goldenRun(const TaskImage& image) {
 
 TemOutcome runTemExperiment(const TaskImage& image, const FaultSpec& fault,
                             double jobBudgetFactor) {
-  const CopyRun golden = goldenRun(image);
+  return detail::runTemExperiment(image, goldenRun(image), fault, jobBudgetFactor);
+}
+
+FsOutcome runFsExperiment(const TaskImage& image, const FaultSpec& fault) {
+  return detail::runFsExperiment(image, goldenRun(image), fault);
+}
+
+TemOutcome detail::runTemExperiment(const TaskImage& image, const CopyRun& golden,
+                                    const FaultSpec& fault, double jobBudgetFactor) {
   util::Rng rng{0xFau};  // only used when the double-flip marker is set
   return classifyTem(image, golden, normalize(fault, rng), jobBudgetFactor);
 }
 
-FsOutcome runFsExperiment(const TaskImage& image, const FaultSpec& fault) {
-  const CopyRun golden = goldenRun(image);
+FsOutcome detail::runFsExperiment(const TaskImage& image, const CopyRun& golden,
+                                  const FaultSpec& fault) {
   util::Rng rng{0xFau};
   ExperimentFault experiment = normalize(fault, rng);
   experiment.targetCopy = 1;

@@ -265,6 +265,16 @@ struct TracedRun {
 /// One fail-silent-node experiment with the given fault.
 [[nodiscard]] FsOutcome runFsExperiment(const TaskImage& image, const FaultSpec& fault);
 
+namespace detail {
+/// runTemExperiment / runFsExperiment against a precomputed
+/// `golden == goldenRun(image)`, for callers that classify many faults on
+/// one image (the system campaigns) and resolve the golden run once.
+[[nodiscard]] TemOutcome runTemExperiment(const TaskImage& image, const CopyRun& golden,
+                                          const FaultSpec& fault, double jobBudgetFactor);
+[[nodiscard]] FsOutcome runFsExperiment(const TaskImage& image, const CopyRun& golden,
+                                        const FaultSpec& fault);
+}  // namespace detail
+
 /// Full campaigns with randomly sampled faults.
 [[nodiscard]] TemCampaignStats runTemCampaign(const TaskImage& image, const CampaignConfig& config);
 [[nodiscard]] FsCampaignStats runFsCampaign(const TaskImage& image, const CampaignConfig& config);

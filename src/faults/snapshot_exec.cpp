@@ -6,52 +6,18 @@
 
 namespace nlft::fi {
 
-namespace {
-
-/// FNV-1a over 64-bit lanes with a splitmix finalizer. One multiply per
-/// word keeps the digest cheap enough to evaluate per experiment (a
-/// byte-granular hash over 64 KiB of codewords would cost more than simply
-/// re-executing a short guest program). A single differing lane can never
-/// cancel (the difference term is multiplied by an odd constant), and
-/// multi-lane cancellation is vanishingly unlikely; the differential test
-/// suite cross-checks the classifications end to end regardless.
-struct LaneHash {
-  std::uint64_t hash = 1469598103934665603ull;
-
-  void u64(std::uint64_t value) {
-    hash ^= value;
-    hash *= 1099511628211ull;
-  }
-  [[nodiscard]] std::uint64_t finish() const {
-    std::uint64_t x = hash;
-    x ^= x >> 30;
-    x *= 0xBF58476D1CE4E5B9ull;
-    x ^= x >> 27;
-    x *= 0x94D049BB133111EBull;
-    x ^= x >> 31;
-    return x;
-  }
-};
-
-}  // namespace
-
-std::uint64_t behaviorDigest(const hw::Machine& machine) {
-  LaneHash digest;
-  const hw::CpuState& cpu = machine.cpu();
-  for (const std::uint32_t reg : cpu.regs) digest.u64(reg);
-  digest.u64(cpu.pc);
-  digest.u64((cpu.flagZero ? 1u : 0u) | (cpu.flagNegative ? 2u : 0u) |
-             (machine.halted() ? 4u : 0u));
-  digest.u64(static_cast<std::uint64_t>(
-      static_cast<std::int64_t>(machine.armedFetchCorruptionBit())));
-  digest.u64(machine.stuckAtFaults().size());
-  for (const hw::StuckAtFault& fault : machine.stuckAtFaults()) {
-    digest.u64(static_cast<std::uint64_t>(fault.reg));
-    digest.u64(static_cast<std::uint64_t>(fault.bit));
-    digest.u64(fault.stuckHigh ? 1 : 0);
-  }
-  for (const std::uint64_t codeword : machine.memory().rawCodewords()) digest.u64(codeword);
-  return digest.finish();
+bool sameBehavior(const hw::Machine& a, const hw::Machine& b) {
+  const hw::CpuState& ca = a.cpu();
+  const hw::CpuState& cb = b.cpu();
+  const auto sameStuckAt = [](const hw::StuckAtFault& x, const hw::StuckAtFault& y) {
+    return x.reg == y.reg && x.bit == y.bit && x.stuckHigh == y.stuckHigh;
+  };
+  return ca.regs == cb.regs && ca.pc == cb.pc && ca.flagZero == cb.flagZero &&
+         ca.flagNegative == cb.flagNegative && a.halted() == b.halted() &&
+         a.armedFetchCorruptionBit() == b.armedFetchCorruptionBit() &&
+         std::equal(a.stuckAtFaults().begin(), a.stuckAtFaults().end(),
+                    b.stuckAtFaults().begin(), b.stuckAtFaults().end(), sameStuckAt) &&
+         a.memory().sameCodewords(b.memory());
 }
 
 MachineBaseline::MachineBaseline(const hw::Machine& start, std::uint64_t tag,
@@ -89,7 +55,9 @@ void MachineBaseline::forkAt(std::uint64_t instructions, hw::Machine& scratch) {
     if (rewound_ && position_ % stride_ == 0)
       cache_.insert({position_, tag_}, sweep_->saveState());
   }
-  scratch = *sweep_;  // direct state copy: the hot fork path never serializes
+  // Direct state copy, sparse over dirty memory pages: the hot fork path
+  // never serializes.
+  scratch = *sweep_;
   ++resumePoints_;
 }
 

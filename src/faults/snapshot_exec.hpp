@@ -9,6 +9,12 @@
 // resume from the nearest cached snapshot at or below the target instant
 // rather than replaying from instruction zero.
 //
+// A fork is a plain hw::Machine copy-assignment, and hw::EccMemory copies
+// only the memory pages dirty on either side (the pages a guest program
+// touches), not the whole 64 KiB codeword array. Whether a copy after the
+// faulted one may be replayed is decided by sameBehavior(): an exact
+// compare against the clean fixed point, over the same dirty pages.
+//
 // Because a forked machine is bit-identical to the straight-through machine
 // at the same instruction index, the fork path produces byte-identical
 // CopyRuns — the differential suite (tests/snapshot_differential_test.cpp)
@@ -26,30 +32,35 @@
 
 namespace nlft::fi {
 
-/// 64-bit digest of the BEHAVIOR-RELEVANT machine state: CPU context, raw
-/// memory codewords, halted flag, armed fetch corruption and stuck-at
-/// faults. Deliberately EXCLUDES the executed-instruction counter, the MMU
-/// violation counter and the ECC error counters — all monotone bookkeeping
-/// that never feeds back into execution — so a machine that returns to the
-/// clean fixed point after a fault digests clean again. In particular a
-/// correctable memory flip that was scrubbed on read leaves only a bumped
-/// correctedErrors counter behind; the machine then behaves exactly like
-/// the clean one, and the classification still sees the correction because
-/// it reads the counter off the live scratch machine, not the digest.
-[[nodiscard]] std::uint64_t behaviorDigest(const hw::Machine& machine);
+/// Exact equality of the BEHAVIOR-RELEVANT machine state: CPU context,
+/// halted flag, armed fetch corruption, stuck-at faults and raw memory
+/// codewords (compared over the union of both memories' dirty pages, see
+/// hw::EccMemory). Deliberately EXCLUDES the executed-instruction counter,
+/// the MMU violation counter and the ECC error counters — all monotone
+/// bookkeeping that never feeds back into execution — so a machine that
+/// returns to the clean fixed point after a fault compares equal to it. In
+/// particular a correctable memory flip that was scrubbed on read leaves
+/// only a bumped correctedErrors counter behind; the machine then behaves
+/// exactly like the clean one, and the classification still sees the
+/// correction because it reads the counter off the live scratch machine.
+/// The MMU configuration is not compared either: no instruction changes
+/// it, and every machine the campaign compares descends from one start
+/// state.
+[[nodiscard]] bool sameBehavior(const hw::Machine& a, const hw::Machine& b);
 
 /// A fast-forwardable baseline: a start-state machine plus a sweep machine
 /// advanced monotonically through the clean prefix. `forkAt(t, scratch)`
 /// copies the baseline state after exactly `t` instructions into `scratch`.
 /// Callers that fork in nondecreasing `t` order never rewind the sweep, so
 /// the whole chunk executes the clean prefix at most once per band and the
-/// fork path is a pure in-memory state copy — profiling showed that
-/// serializing a blob per fork costs ~20x more than interpreting the short
-/// guest programs it would skip. Serialization is reserved for the
-/// out-of-order case: after the first rewind the sweep caches a CRC-checked
-/// snapshot blob at every quantized resume point it crosses, so later
-/// rewinds restore from the nearest cached snapshot at or below the target
-/// instead of replaying from instruction zero.
+/// fork path is a pure in-memory state copy, sparse over dirty memory
+/// pages — profiling showed that serializing a blob per fork costs ~20x
+/// more than interpreting the short guest programs it would skip.
+/// Serialization is reserved for the out-of-order case: after the first
+/// rewind the sweep caches a CRC-checked snapshot blob at every quantized
+/// resume point it crosses, so later rewinds restore from the nearest
+/// cached snapshot at or below the target instead of replaying from
+/// instruction zero.
 class MachineBaseline {
  public:
   /// `start` must outlive the baseline (it lives in the campaign plan).

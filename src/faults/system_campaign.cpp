@@ -24,19 +24,19 @@ constexpr net::NodeId kNodeCount = 6;  // CU-A, CU-B, four wheel nodes
 
 [[nodiscard]] bool isWheelNode(net::NodeId id) { return id >= bbw::kWheelNodeBase; }
 
-/// Guest images and their golden costs, resolved once per campaign and
+/// Guest images and their golden runs, resolved once per campaign and
 /// shared read-only across worker threads.
 struct GuestContext {
   TaskImage wheel;
   TaskImage cu;
-  std::uint64_t wheelGoldenInstructions = 0;
-  std::uint64_t cuGoldenInstructions = 0;
+  CopyRun wheelGolden;  ///< goldenRun(wheel)
+  CopyRun cuGolden;     ///< goldenRun(cu)
 
   [[nodiscard]] const TaskImage& imageFor(net::NodeId id) const {
     return isWheelNode(id) ? wheel : cu;
   }
-  [[nodiscard]] std::uint64_t goldenInstructionsFor(net::NodeId id) const {
-    return isWheelNode(id) ? wheelGoldenInstructions : cuGoldenInstructions;
+  [[nodiscard]] const CopyRun& goldenFor(net::NodeId id) const {
+    return isWheelNode(id) ? wheelGolden : cuGolden;
   }
 };
 
@@ -56,8 +56,8 @@ GuestContext makeGuestContext() {
   if (!haveWheel || !haveCu) {
     throw std::runtime_error("system campaign: wheel/cu guest programs missing");
   }
-  ctx.wheelGoldenInstructions = goldenRun(ctx.wheel).instructions;
-  ctx.cuGoldenInstructions = goldenRun(ctx.cu).instructions;
+  ctx.wheelGolden = goldenRun(ctx.wheel);
+  ctx.cuGolden = goldenRun(ctx.cu);
   return ctx;
 }
 
@@ -74,10 +74,12 @@ enum class Injection : std::uint8_t {
 /// counts + the system injection that replays the outcome.
 Injection classifyMachineFault(const SystemCampaignConfig& config, const GuestContext& ctx,
                                const SystemScenario& scenario, NodeLevelCounts& counts) {
-  const TaskImage& image = ctx.imageFor(scenario.targets.front());
+  const net::NodeId target = scenario.targets.front();
+  const TaskImage& image = ctx.imageFor(target);
+  const CopyRun& golden = ctx.goldenFor(target);
   ++counts.injected;
   if (config.nodeType == bbw::NodeType::Nlft) {
-    switch (runTemExperiment(image, scenario.fault, config.jobBudgetFactor)) {
+    switch (detail::runTemExperiment(image, golden, scenario.fault, config.jobBudgetFactor)) {
       case TemOutcome::NotActivated: ++counts.notActivated; return Injection::None;
       case TemOutcome::MaskedByEcc: ++counts.maskedByEcc; return Injection::None;
       case TemOutcome::MaskedByVote: ++counts.masked; return Injection::Computation;
@@ -87,7 +89,7 @@ Injection classifyMachineFault(const SystemCampaignConfig& config, const GuestCo
       case TemOutcome::UndetectedWrongOutput: ++counts.undetected; return Injection::Value;
     }
   } else {
-    switch (runFsExperiment(image, scenario.fault)) {
+    switch (detail::runFsExperiment(image, golden, scenario.fault)) {
       case FsOutcome::NotActivated: ++counts.notActivated; return Injection::None;
       case FsOutcome::MaskedByEcc: ++counts.maskedByEcc; return Injection::None;
       case FsOutcome::FailSilent: ++counts.failSilent; return Injection::DetectedError;
@@ -169,7 +171,7 @@ SystemScenario sampleScenarioImpl(const SystemCampaignConfig& config, util::Rng&
     case ScenarioKind::MachineTransient: {
       const net::NodeId target = firstTarget();
       scenario.targets.push_back(target);
-      scenario.fault = sampleFault(ctx.imageFor(target), ctx.goldenInstructionsFor(target),
+      scenario.fault = sampleFault(ctx.imageFor(target), ctx.goldenFor(target).instructions,
                                    config.mix, rng);
       break;
     }

@@ -5,9 +5,18 @@
 // double-bit upsets raise an uncorrectable-ECC error that the machine turns
 // into a bus-error exception. Fault injectors flip raw codeword bits, so
 // parity bits are exposed to faults exactly like data bits.
+//
+// The memory also tracks which 64-word pages may differ from the zero-fill
+// reset state. Every mutation marks its page; a page outside that dirty set
+// provably holds eccEncode(0) in every word. Copy-assignment and
+// sameCodewords() visit only dirty pages, so forking or comparing two
+// machines costs the pages a guest program touches (a handful), not the
+// whole codeword array. The dirty set is derived state: it is never
+// serialized and restoreRaw() recomputes it.
 #pragma once
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "hw/hamming.hpp"
@@ -23,8 +32,20 @@ struct MemoryReadResult {
 
 class EccMemory {
  public:
+  /// Words per dirty-tracking page.
+  static constexpr std::uint32_t kPageWords = 64;
+
   /// Creates a memory of `sizeBytes` (rounded down to whole words), zeroed.
   explicit EccMemory(std::uint32_t sizeBytes);
+
+  EccMemory(const EccMemory&) = default;
+  EccMemory(EccMemory&&) noexcept = default;
+  /// Makes this memory equal to `other`, codewords and error counters. For
+  /// memories of equal size only pages dirty on either side are touched:
+  /// pages dirty in `other` are copied, pages dirty only here are reset to
+  /// zero. Memories of different sizes fall back to a full copy.
+  EccMemory& operator=(const EccMemory& other);
+  EccMemory& operator=(EccMemory&&) noexcept = default;
 
   [[nodiscard]] std::uint32_t sizeBytes() const { return wordCount_ * 4; }
   [[nodiscard]] std::uint32_t wordCount() const { return wordCount_; }
@@ -69,9 +90,34 @@ class EccMemory {
     return address % 4 == 0 && address / 4 < wordCount_;
   }
 
+  /// Exact codeword equality with `other` (false for different sizes).
+  /// Visits only the union of both dirty sets: pages clean on both sides
+  /// hold the reset state. Error counters are not compared.
+  [[nodiscard]] bool sameCodewords(const EccMemory& other) const;
+
+  /// Number of dirty-tracking pages (the last one may be partial).
+  [[nodiscard]] std::uint32_t pageCount() const {
+    return (wordCount_ + kPageWords - 1) / kPageWords;
+  }
+  /// True when `page` may differ from the reset state. A clean page holds
+  /// eccEncode(0) in every word.
+  [[nodiscard]] bool pageDirty(std::uint32_t page) const {
+    return (dirty_[page / 64] >> (page % 64) & 1) != 0;
+  }
+  /// Number of pages that may differ from the reset state.
+  [[nodiscard]] std::uint32_t dirtyPageCount() const;
+
  private:
+  void markDirty(std::uint32_t wordIndex) {
+    const std::uint32_t page = wordIndex / kPageWords;
+    dirty_[page / 64] |= 1ULL << (page % 64);
+  }
+  /// Word range [first, last) of `page`.
+  [[nodiscard]] std::pair<std::uint32_t, std::uint32_t> pageWords(std::uint32_t page) const;
+
   std::uint32_t wordCount_;
   std::vector<std::uint64_t> codewords_;
+  std::vector<std::uint64_t> dirty_;  ///< one bit per page, set = may differ from reset
   std::uint64_t correctedErrors_ = 0;
   std::uint64_t uncorrectableErrors_ = 0;
 };

@@ -1,8 +1,9 @@
 // Incremental 64-bit state digest: FNV-1a over 64-bit lanes with a
 // splitmix finalizer. This is the one hashing scheme every layer's state
 // digests use (bus/membership/arbiter digests, the bbw behavior
-// fingerprint, fi::behaviorDigest), so digests composed across layers mix
-// uniformly and the snapshot engine can compare them across simulations.
+// fingerprint), so digests composed across layers mix uniformly and the
+// snapshot engine can compare them across simulations. Machine-level
+// campaigns need no digest: fi::sameBehavior compares two machines exactly.
 //
 // NOT a cryptographic hash: it pins determinism, it does not resist an
 // adversary. Equal digests mean "equal state" only together with the

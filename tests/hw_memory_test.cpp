@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 #include "util/rng.hpp"
 
 namespace nlft::hw {
@@ -159,6 +163,147 @@ TEST(EccMemory, RandomisedUpsetSweep) {
       ASSERT_EQ(r.value, value);
     }
   }
+}
+
+// --- Dirty-page tracking: sparse copies and compares ---
+
+/// Every page outside the dirty set must hold the reset codeword.
+void expectCleanPagesReset(const EccMemory& mem) {
+  for (std::uint32_t page = 0; page < mem.pageCount(); ++page) {
+    if (mem.pageDirty(page)) continue;
+    const std::uint32_t last = std::min((page + 1) * EccMemory::kPageWords, mem.wordCount());
+    for (std::uint32_t word = page * EccMemory::kPageWords; word < last; ++word) {
+      ASSERT_EQ(mem.rawCodeword(word), eccEncode(0)) << "clean page " << page << " word " << word;
+    }
+  }
+}
+
+/// A random word address, biased towards the first pages so that two
+/// memories often touch the same words.
+std::uint32_t randomAddress(const EccMemory& mem, util::Rng& rng) {
+  const std::uint32_t words =
+      rng.bernoulli(0.7) ? std::min(mem.wordCount(), 3 * EccMemory::kPageWords) : mem.wordCount();
+  return 4 * static_cast<std::uint32_t>(rng.uniformInt(words));
+}
+
+/// Applies one random mutation: write, bit flip, read (correcting), scrub,
+/// raw restore, or a sparse assignment from `other`.
+void mutate(EccMemory& mem, const EccMemory& other, util::Rng& rng) {
+  switch (rng.uniformInt(9)) {
+    case 0:
+    case 1:
+      mem.write(randomAddress(mem, rng),
+                rng.bernoulli(0.3) ? 0u : static_cast<std::uint32_t>(rng.next()));
+      break;
+    case 2:
+    case 3:
+      mem.flipBit(randomAddress(mem, rng), static_cast<int>(rng.uniformInt(kEccCodewordBits)));
+      break;
+    case 4:
+    case 5:
+      (void)mem.read(randomAddress(mem, rng));
+      break;
+    case 6:
+      (void)mem.scrub();
+      break;
+    case 7: {
+      std::vector<std::uint64_t> raw = other.rawCodewords();
+      if (rng.bernoulli(0.5)) raw[rng.uniformInt(raw.size())] ^= 1ULL << rng.uniformInt(39);
+      mem.restoreRaw(std::move(raw), rng.uniformInt(5), rng.uniformInt(5));
+      break;
+    }
+    default:
+      mem = other;
+      break;
+  }
+}
+
+TEST(EccMemory, SparseCopyAndCompareMatchFullCopies) {
+  util::Rng rng{0xD1A7};
+  // 12 whole pages plus a partial one, so the last page is short.
+  constexpr std::uint32_t kBytes = 4 * (12 * EccMemory::kPageWords + 10);
+  EccMemory a{kBytes};
+  EccMemory b{kBytes};
+  EccMemory stale{kBytes};  // a destination with its own dirty history
+  std::size_t equalSteps = 0;
+  for (int step = 0; step < 6000; ++step) {
+    SCOPED_TRACE(step);
+    if (rng.bernoulli(0.5)) {
+      mutate(a, b, rng);
+    } else {
+      mutate(b, a, rng);
+    }
+    mutate(stale, rng.bernoulli(0.5) ? a : b, rng);
+    expectCleanPagesReset(a);
+    expectCleanPagesReset(b);
+    expectCleanPagesReset(stale);
+
+    const bool equal = a.rawCodewords() == b.rawCodewords();
+    equalSteps += equal ? 1 : 0;
+    ASSERT_EQ(a.sameCodewords(b), equal);
+    ASSERT_EQ(b.sameCodewords(a), equal);
+
+    EccMemory sparse = stale;
+    sparse = a;
+    ASSERT_EQ(sparse.rawCodewords(), a.rawCodewords());
+    ASSERT_EQ(sparse.correctedErrors(), a.correctedErrors());
+    ASSERT_EQ(sparse.uncorrectableErrors(), a.uncorrectableErrors());
+    ASSERT_TRUE(sparse.sameCodewords(a));
+    expectCleanPagesReset(sparse);
+  }
+  // The walk must visit both outcomes of the compare.
+  EXPECT_GT(equalSteps, 100u);
+  EXPECT_LT(equalSteps, 5900u);
+}
+
+TEST(EccMemory, SelfAssignmentKeepsState) {
+  EccMemory mem{1024};
+  mem.write(8, 0x1234);
+  mem.flipBit(8, 3);
+  const std::vector<std::uint64_t> before = mem.rawCodewords();
+  const EccMemory& alias = mem;
+  mem = alias;
+  EXPECT_EQ(mem.rawCodewords(), before);
+  EXPECT_TRUE(mem.pageDirty(0));
+  EXPECT_EQ(mem.read(8).value, 0x1234u);
+}
+
+TEST(EccMemory, SizeMismatchFallsBackToAFullCopy) {
+  EccMemory small{256};
+  small.write(4, 7);
+  EccMemory large{64 * 1024};
+  large.write(60000, 9);
+  EXPECT_FALSE(small.sameCodewords(large));
+
+  large = small;
+  EXPECT_EQ(large.wordCount(), small.wordCount());
+  EXPECT_EQ(large.rawCodewords(), small.rawCodewords());
+  EXPECT_TRUE(large.sameCodewords(small));
+  expectCleanPagesReset(large);
+
+  EccMemory grown{256};
+  grown.write(4, 1);
+  EccMemory source{64 * 1024};
+  source.write(60000, 9);
+  grown = source;
+  EXPECT_EQ(grown.rawCodewords(), source.rawCodewords());
+  EXPECT_EQ(grown.pageCount(), 256u);
+  EXPECT_EQ(grown.dirtyPageCount(), 1u);
+  expectCleanPagesReset(grown);
+}
+
+TEST(EccMemory, RestoreRawRecomputesTheDirtyPages) {
+  EccMemory mem{64 * 1024};
+  std::vector<std::uint64_t> raw(16384, eccEncode(0));
+  raw[5] = eccEncode(1);
+  raw[16383] ^= 1;  // a latent upset in the last page
+  mem.write(4096, 3);  // dirty before the restore, clean after
+  mem.restoreRaw(raw, 2, 1);
+  EXPECT_EQ(mem.dirtyPageCount(), 2u);
+  EXPECT_TRUE(mem.pageDirty(0));
+  EXPECT_TRUE(mem.pageDirty(255));
+  EXPECT_EQ(mem.correctedErrors(), 2u);
+  expectCleanPagesReset(mem);
 }
 
 }  // namespace

@@ -54,7 +54,7 @@ TEST(SnapshotRoundtrip, MachineSaveRestoreSaveIsByteIdentical) {
       hw::Machine restored{image.memBytes};
       restored.restoreState(first);
       EXPECT_EQ(first, restored.saveState());
-      EXPECT_EQ(fi::behaviorDigest(machine), fi::behaviorDigest(restored));
+      EXPECT_TRUE(fi::sameBehavior(machine, restored));
     }
   }
 }
