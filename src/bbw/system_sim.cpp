@@ -14,7 +14,6 @@
 #include "core/replication.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "snap/blob.hpp"
 #include "util/state_hash.hpp"
 
 namespace nlft::bbw {
@@ -219,27 +218,6 @@ struct BbwSystemSim::Impl {
   obs::Registry* metrics = nullptr;
   obs::TraceRecorder* recorder = nullptr;
   bool tapsWired = false;
-
-  /// One entry per public injection/press call, in call order — the replay
-  /// schedule a restoreState() re-applies to a fresh simulation.
-  struct LoggedInjection {
-    enum class Kind : std::uint16_t {
-      Computation = 1,
-      DetectedError = 2,
-      KernelError = 3,
-      Omission = 4,
-      ValueFailure = 5,
-      BusCorruption = 6,
-      BusCorruptionBits = 7,
-      EmergencyBrake = 8,
-    };
-    Kind kind{};
-    net::NodeId node = 0;
-    SimTime at;
-    std::vector<std::uint32_t> flipBits;  ///< BusCorruptionBits only
-  };
-  std::vector<LoggedInjection> injectionLog;
-  bool advanced = false;  ///< any simulated time has elapsed (run/runUntil)
 
   /// Emits one trace line, prefixed with the simulated time in microseconds.
   void trace(const std::string& message) {
@@ -637,73 +615,6 @@ struct BbwSystemSim::Impl {
     }
   }
 
-  /// Digest of the configuration a checkpoint was taken under. A replay is
-  /// only meaningful on an identically configured simulation; the pedal
-  /// profile is a closure, so only its PRESENCE can be pinned (the caller
-  /// owns supplying the same profile, see BbwSystemSim::restoreState docs).
-  [[nodiscard]] std::uint64_t configDigest() const {
-    StateHash digest;
-    digest.u64(static_cast<std::uint64_t>(config.nodeType));
-    digest.f64(config.initialSpeedMps);
-    digest.f64(config.pedal);
-    digest.boolean(static_cast<bool>(config.pedalProfile));
-    digest.i64(config.controlPeriod.us());
-    digest.i64(config.plantStep.us());
-    digest.i64(config.horizon.us());
-    digest.i64(config.restartTime.us());
-    digest.f64(config.vehicle.massKg);
-    digest.f64(config.vehicle.wheelRadiusM);
-    digest.f64(config.vehicle.wheelInertia);
-    digest.f64(config.vehicle.burckhardtC1);
-    digest.f64(config.vehicle.burckhardtC2);
-    digest.f64(config.vehicle.burckhardtC3);
-    digest.f64(config.vehicle.rollingResistance);
-    for (const double scale : config.vehicle.frictionScale) digest.f64(scale);
-    digest.f64(config.centralUnit.maxTotalForceN);
-    digest.f64(config.centralUnit.frontShare);
-    digest.f64(config.centralUnit.wheelRadiusM);
-    return digest.finish();
-  }
-
-  /// Digest of the deterministic simulation state (see the header docs).
-  [[nodiscard]] std::uint64_t fingerprint() const {
-    StateHash digest;
-    digest.i64(simulator.now().us());
-    digest.u64(simulator.processedEvents());
-    digest.f64(vehicle.speedMps());
-    digest.f64(vehicle.distanceM());
-    digest.boolean(vehicleStopped);
-    digest.f64(stopTimeS);
-    digest.u64(bus.cyclesCompleted());
-    digest.u64(bus.framesDelivered());
-    digest.u64(bus.framesDropped());
-    digest.u64(bus.crcRejected());
-    digest.u64(bus.corruptionsInjected());
-    digest.u64(commandFramesDelivered);
-    digest.u64(failSilentEvents);
-    digest.u64(commandsOmitted);
-    digest.u64(undetectedValueDeliveries);
-    digest.boolean(emergencyLatched);
-    digest.i64(emergencyPressedAt ? emergencyPressedAt->us() : -1);
-    digest.i64(emergencyAppliedAt ? emergencyAppliedAt->us() : -1);
-    for (const std::uint32_t command : lastCommandQ8) digest.u64(command);
-    for (const std::uint64_t seq : lastCommandSeq) digest.u64(seq);
-    for (const Node& n : nodes) {
-      digest.boolean(n.kernel->stopped());
-      digest.boolean(membership.alive(n.id));
-      digest.u64(n.kernel->kernelErrors());
-      const rt::TaskStats& stats = n.kernel->stats(n.controlTask);
-      digest.u64(stats.releases);
-      digest.u64(stats.completions);
-      digest.u64(stats.omissions);
-      digest.u64(stats.deadlineMisses);
-      digest.u64(stats.budgetOverruns);
-      digest.u64(stats.errorsDetected);
-      digest.u64(stats.errorsMasked);
-    }
-    return digest.finish();
-  }
-
   /// Snapshot of the monotone counters (see BbwSystemCounters).
   [[nodiscard]] BbwSystemCounters counterSnapshot() const {
     BbwSystemCounters c;
@@ -847,7 +758,6 @@ sim::Simulator& BbwSystemSim::simulator() { return impl_->simulator; }
 const Vehicle& BbwSystemSim::vehicle() const { return impl_->vehicle; }
 
 void BbwSystemSim::injectComputationFault(net::NodeId node, SimTime at) {
-  impl_->injectionLog.push_back({Impl::LoggedInjection::Kind::Computation, node, at, {}});
   impl_->simulator.scheduleAt(at,
                               [this, node] {
                                 impl_->trace("inject computation-fault node=" +
@@ -859,7 +769,6 @@ void BbwSystemSim::injectComputationFault(net::NodeId node, SimTime at) {
 }
 
 void BbwSystemSim::injectDetectedError(net::NodeId node, SimTime at) {
-  impl_->injectionLog.push_back({Impl::LoggedInjection::Kind::DetectedError, node, at, {}});
   impl_->simulator.scheduleAt(at,
                               [this, node] {
                                 impl_->trace("inject detected-error node=" + std::to_string(node));
@@ -870,7 +779,6 @@ void BbwSystemSim::injectDetectedError(net::NodeId node, SimTime at) {
 }
 
 void BbwSystemSim::injectOmissionFailure(net::NodeId node, SimTime at) {
-  impl_->injectionLog.push_back({Impl::LoggedInjection::Kind::Omission, node, at, {}});
   impl_->simulator.scheduleAt(at,
                               [this, node] {
                                 impl_->trace("inject omission node=" + std::to_string(node));
@@ -881,7 +789,6 @@ void BbwSystemSim::injectOmissionFailure(net::NodeId node, SimTime at) {
 }
 
 void BbwSystemSim::injectValueFailure(net::NodeId node, SimTime at) {
-  impl_->injectionLog.push_back({Impl::LoggedInjection::Kind::ValueFailure, node, at, {}});
   impl_->simulator.scheduleAt(at,
                               [this, node] {
                                 impl_->trace("inject value-failure node=" + std::to_string(node));
@@ -892,7 +799,6 @@ void BbwSystemSim::injectValueFailure(net::NodeId node, SimTime at) {
 }
 
 void BbwSystemSim::injectKernelError(net::NodeId node, SimTime at) {
-  impl_->injectionLog.push_back({Impl::LoggedInjection::Kind::KernelError, node, at, {}});
   impl_->simulator.scheduleAt(at,
                               [this, node] {
                                 impl_->trace("inject kernel-error node=" + std::to_string(node));
@@ -923,7 +829,6 @@ const net::MembershipService& BbwSystemSim::membership() const { return impl_->m
 net::MembershipService& BbwSystemSim::membership() { return impl_->membership; }
 
 void BbwSystemSim::pressEmergencyBrake(SimTime at) {
-  impl_->injectionLog.push_back({Impl::LoggedInjection::Kind::EmergencyBrake, 0, at, {}});
   impl_->simulator.scheduleAt(at, [this] {
     Impl& impl = *impl_;
     impl.emergencyLatched = true;
@@ -937,7 +842,6 @@ void BbwSystemSim::pressEmergencyBrake(SimTime at) {
 }
 
 void BbwSystemSim::injectBusCorruption(net::NodeId node, SimTime at) {
-  impl_->injectionLog.push_back({Impl::LoggedInjection::Kind::BusCorruption, node, at, {}});
   impl_->simulator.scheduleAt(at,
                               [this, node] {
                                 impl_->trace("inject bus-corruption node=" + std::to_string(node));
@@ -949,7 +853,6 @@ void BbwSystemSim::injectBusCorruption(net::NodeId node, SimTime at) {
 
 void BbwSystemSim::injectBusCorruption(net::NodeId node, SimTime at,
                                        std::vector<std::uint32_t> flipBits) {
-  impl_->injectionLog.push_back({Impl::LoggedInjection::Kind::BusCorruptionBits, node, at, flipBits});
   impl_->simulator.scheduleAt(at,
                               [this, node, flipBits = std::move(flipBits)] {
                                 impl_->trace("inject bus-corruption node=" + std::to_string(node));
@@ -961,7 +864,6 @@ void BbwSystemSim::injectBusCorruption(net::NodeId node, SimTime at,
 
 BbwSimResult BbwSystemSim::run() {
   Impl& impl = *impl_;
-  impl.advanced = true;
   const SimTime limit = SimTime::zero() + impl.config.horizon;
   while (impl.simulator.now() < limit && !impl.vehicleStopped) {
     if (!impl.simulator.step()) break;
@@ -1002,12 +904,9 @@ BbwSimResult BbwSystemSim::finishSpliced(const BbwSimResult& final, const BbwSys
 }
 
 void BbwSystemSim::runUntil(SimTime until) {
-  impl_->advanced = true;
   impl_->latency.windowMaxUs = 0.0;
   impl_->advanceTo(until);
 }
-
-std::uint64_t BbwSystemSim::stateFingerprint() const { return impl_->fingerprint(); }
 
 BbwSystemCounters BbwSystemSim::counterSnapshot() const { return impl_->counterSnapshot(); }
 
@@ -1016,116 +915,5 @@ const EndToEndLatency& BbwSystemSim::endToEndLatency() const { return impl_->lat
 std::uint64_t BbwSystemSim::behaviorFingerprint() const { return impl_->behaviorFingerprint(); }
 
 bool BbwSystemSim::injectionQuiescent() const { return impl_->injectionQuiescent(); }
-
-std::vector<std::uint8_t> BbwSystemSim::saveState() const {
-  const Impl& impl = *impl_;
-  snap::BlobWriter writer{snap::kSystemSnapshot, kSystemStateVersion};
-  writer.beginSection("config");
-  writer.u64(impl.configDigest());
-  writer.endSection();
-  writer.beginSection("inject");
-  writer.u32(static_cast<std::uint32_t>(impl.injectionLog.size()));
-  for (const Impl::LoggedInjection& injection : impl.injectionLog) {
-    writer.u16(static_cast<std::uint16_t>(injection.kind));
-    writer.u32(injection.node);
-    writer.i64(injection.at.us());
-    writer.u32Vec(injection.flipBits);
-  }
-  writer.endSection();
-  writer.beginSection("clock");
-  writer.i64(impl.simulator.now().us());
-  // The clock alone under-specifies the state when several events share a
-  // timestamp (e.g. a checkpoint taken right after the event that stopped
-  // the vehicle), so the replay target is the PROCESSED-EVENT COUNT; the
-  // deterministic event order makes it exact.
-  writer.u64(impl.simulator.processedEvents());
-  writer.endSection();
-  writer.beginSection("fp");
-  writer.u64(impl.fingerprint());
-  writer.endSection();
-  return writer.finish();
-}
-
-void BbwSystemSim::restoreState(std::span<const std::uint8_t> blob) {
-  Impl& impl = *impl_;
-  if (impl.advanced || !impl.injectionLog.empty()) {
-    throw std::runtime_error(
-        "BbwSystemSim::restoreState: requires a freshly constructed simulation "
-        "(this one has already advanced or been injected into)");
-  }
-
-  // Parse and validate the WHOLE checkpoint before replaying anything.
-  snap::BlobReader reader{blob, snap::kSystemSnapshot, kSystemStateVersion};
-  reader.openSection("config");
-  const std::uint64_t configDigest = reader.u64();
-  reader.closeSection();
-  reader.openSection("inject");
-  const std::uint32_t injections = reader.u32();
-  std::vector<Impl::LoggedInjection> schedule;
-  schedule.reserve(injections);
-  for (std::uint32_t i = 0; i < injections; ++i) {
-    Impl::LoggedInjection injection;
-    injection.kind = static_cast<Impl::LoggedInjection::Kind>(reader.u16());
-    injection.node = reader.u32();
-    injection.at = SimTime::fromUs(reader.i64());
-    injection.flipBits = reader.u32Vec();
-    schedule.push_back(std::move(injection));
-  }
-  reader.closeSection();
-  reader.openSection("clock");
-  const SimTime target = SimTime::fromUs(reader.i64());
-  const std::uint64_t targetProcessed = reader.u64();
-  reader.closeSection();
-  reader.openSection("fp");
-  const std::uint64_t expectedFingerprint = reader.u64();
-  reader.closeSection();
-  reader.finish();
-
-  if (configDigest != impl.configDigest()) {
-    throw std::runtime_error(
-        "BbwSystemSim::restoreState: configuration digest mismatch (the checkpoint "
-        "was taken under a different BbwSimConfig)");
-  }
-
-  // Replay: re-apply the injection schedule in call order, advance to the
-  // checkpoint clock, and verify the state digest. Because the simulation
-  // is a deterministic function of (config, schedule, clock), a fingerprint
-  // match means THIS simulation is the checkpointed one.
-  using Kind = Impl::LoggedInjection::Kind;
-  for (const Impl::LoggedInjection& injection : schedule) {
-    switch (injection.kind) {
-      case Kind::Computation: injectComputationFault(injection.node, injection.at); break;
-      case Kind::DetectedError: injectDetectedError(injection.node, injection.at); break;
-      case Kind::KernelError: injectKernelError(injection.node, injection.at); break;
-      case Kind::Omission: injectOmissionFailure(injection.node, injection.at); break;
-      case Kind::ValueFailure: injectValueFailure(injection.node, injection.at); break;
-      case Kind::BusCorruption: injectBusCorruption(injection.node, injection.at); break;
-      case Kind::BusCorruptionBits:
-        injectBusCorruption(injection.node, injection.at, injection.flipBits);
-        break;
-      case Kind::EmergencyBrake: pressEmergencyBrake(injection.at); break;
-      default:
-        throw std::runtime_error("BbwSystemSim::restoreState: unknown injection kind " +
-                                 std::to_string(static_cast<int>(injection.kind)));
-    }
-  }
-  // Advance by PROCESSED-EVENT COUNT, not by clock: the producer may have
-  // processed further events at the checkpoint timestamp (its advance loops
-  // gate on the pre-step clock), and the deterministic event order makes
-  // the count exact. The clock and horizon bounds only guard against a
-  // nonsensical count; the fingerprint check below is the real arbiter.
-  impl.advanced = true;
-  const SimTime horizon = SimTime::zero() + impl.config.horizon;
-  while (impl.simulator.processedEvents() < targetProcessed &&
-         impl.simulator.now() <= std::min(target, horizon) && !impl.vehicleStopped) {
-    if (!impl.simulator.step()) break;
-  }
-  if (impl.fingerprint() != expectedFingerprint) {
-    throw std::runtime_error(
-        "BbwSystemSim::restoreState: replay diverged from the checkpoint fingerprint "
-        "at t=" + std::to_string(target.us()) +
-        "us (corrupted blob, mismatched pedal profile, or nondeterminism)");
-  }
-}
 
 }  // namespace nlft::bbw

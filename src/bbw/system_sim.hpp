@@ -17,7 +17,6 @@
 #include <functional>
 #include <memory>
 #include <set>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -39,10 +38,6 @@ namespace nlft::bbw {
 
 using util::Duration;
 using util::SimTime;
-
-/// Format version of BbwSystemSim::saveState() blobs. Bump on any layout
-/// change; restoreState() refuses blobs of any other version.
-inline constexpr std::uint16_t kSystemStateVersion = 1;
 
 /// Node ids on the bus.
 inline constexpr net::NodeId kCuA = 1;
@@ -253,41 +248,11 @@ class BbwSystemSim {
   /// Runs until the vehicle stops or the horizon elapses.
   [[nodiscard]] BbwSimResult run();
 
-  // --- Replay checkpoints (snapshot campaign engine, docs/SNAPSHOT.md) ---
-  //
-  // A system simulation owns live kernels, executors and scheduled closures,
-  // so its state is CHECKPOINTED BY REPLAY rather than serialized flat: the
-  // blob records the configuration digest, the full injection schedule, the
-  // simulated clock and a fingerprint of the deterministic state.
-  // restoreState() re-applies the schedule to a freshly constructed,
-  // identically configured simulation, advances it to the saved clock and
-  // verifies the fingerprint — so a restored simulation is the REAL thing,
-  // not a deserialized approximation, and any divergence fails loudly.
-
   /// Advances the simulation to `until` (or until the vehicle stops /
   /// events run out) WITHOUT finalizing a result. Callable repeatedly with
   /// nondecreasing times; a later run() continues to the horizon and
   /// finalizes as usual.
   void runUntil(SimTime until);
-
-  /// Serializes a replay checkpoint at the current simulated time into a
-  /// versioned, sectioned, CRC-32 protected blob (src/snap/blob.hpp).
-  [[nodiscard]] std::vector<std::uint8_t> saveState() const;
-
-  /// Restores a saveState() checkpoint into THIS simulation, which must be
-  /// freshly constructed with the same BbwSimConfig (and the same pedal
-  /// profile, which the digest can only check for presence) and never
-  /// advanced or injected into. Throws snap::BlobError on a damaged or
-  /// version-mismatched blob and std::runtime_error if the configuration
-  /// digest differs or the replayed state misses the checkpoint
-  /// fingerprint.
-  void restoreState(std::span<const std::uint8_t> blob);
-
-  /// 64-bit digest of the deterministic simulation state: simulated clock,
-  /// event/bus/kernel counters, vehicle kinematics, per-node liveness and
-  /// task statistics. Equal fingerprints at equal simulated times are the
-  /// snapshot layer's definition of state equality.
-  [[nodiscard]] std::uint64_t stateFingerprint() const;
 
   /// Snapshot of the monotone counters at the current instant.
   [[nodiscard]] BbwSystemCounters counterSnapshot() const;
@@ -314,9 +279,8 @@ class BbwSystemSim {
   /// the end-to-end latency bookkeeping that future samples read (each
   /// wheel's last measured sequence, the pedal-sample times of sequences
   /// not measured yet), plus the membership, bus and duplex-arbiter state
-  /// digests. Unlike
-  /// stateFingerprint() it EXCLUDES monotone bookkeeping (processed events,
-  /// delivery counters, task statistics), so a faulted simulation whose
+  /// digests. It EXCLUDES monotone bookkeeping (processed events, delivery
+  /// counters, task statistics), so a faulted simulation whose
   /// disturbance has fully healed produces the golden digest again — the
   /// rejoin condition of the snapshot campaign engine. Counter deltas are
   /// compared separately via counterSnapshot().

@@ -62,17 +62,14 @@ struct ChunkedCampaignResult {
 /// Placeholder context for campaigns that need no per-chunk state.
 struct NoChunkContext {};
 
-/// Optional per-chunk lifecycle hooks. `setup(chunkIndex)` builds a
-/// chunk-private context before the chunk's first experiment (e.g. the
-/// snapshot cache and fast-forwarded baseline of a copy-on-inject
-/// campaign); `teardown(ctx, stats)` runs after the chunk's last experiment,
-/// INSIDE the worker and BEFORE the chunk is merged, so deferred work it
-/// performs (and any counters it folds into `stats`) still lands in the
-/// deterministic chunk-order merge. Empty hooks default-construct the
-/// context and skip teardown.
+/// Optional per-chunk lifecycle hook. Each chunk default-constructs a
+/// chunk-private context before its first experiment; `teardown(ctx,
+/// stats)` runs after the chunk's last experiment, INSIDE the worker and
+/// BEFORE the chunk is merged, so deferred work it performs (and any
+/// counters it folds into `stats`) still lands in the deterministic
+/// chunk-order merge. An empty hook skips teardown.
 template <typename Stats, typename Ctx>
 struct ChunkHooks {
-  std::function<Ctx(std::size_t chunkIndex)> setup;
   std::function<void(Ctx& ctx, Stats& stats)> teardown;
 };
 
@@ -93,7 +90,7 @@ struct ChunkHooks {
 /// plus non-golden "wall." metrics (per-chunk wall-time histogram,
 /// throughput, worker utilization — these do include speculative work).
 /// The hooked core: like runStoppableChunkedCampaign (below), but each chunk
-/// owns a `Ctx` built by `hooks.setup` and finalized by `hooks.teardown`,
+/// owns a default-constructed `Ctx` finalized by `hooks.teardown`,
 /// and `runOne(rng, stats, ctx)` receives it. A campaign that samples into
 /// the context during runOne and executes the (sorted) batch in teardown
 /// keeps the RNG stream AND the merged statistics bit-identical to the
@@ -145,7 +142,7 @@ ChunkedCampaignResult<Stats> runStoppableChunkedCampaignWithHooks(
         util::Rng rng = chunkRngs[range.index];
         Stats& stats = accumulators[range.index];
         stats.experiments = range.end - range.begin;
-        Ctx ctx = hooks.setup ? hooks.setup(range.index) : Ctx{};
+        Ctx ctx{};
         for (std::size_t i = range.begin; i < range.end; ++i) runOne(rng, stats, ctx);
         if (hooks.teardown) hooks.teardown(ctx, stats);
         if (profile != nullptr) {

@@ -16,9 +16,6 @@ using util::SimTime;
 struct ScenarioEntry {
   const char* name;
   bbw::NodeType nodeType;
-  /// Earliest injection instant the scenario arms (microseconds): forked
-  /// recordings restore a clean checkpoint strictly before this.
-  std::int64_t earliestUs;
   /// Arms the scenario's injections on a fresh simulation.
   void (*arm)(BbwSystemSim&);
 };
@@ -32,23 +29,23 @@ SimTime at(double seconds) {
 // node down run long enough for the mu_R restart to appear in the trace, so
 // a perturbed restart time is caught by the harness.
 constexpr ScenarioEntry kScenarios[] = {
-    {"nlft-computation-fault", bbw::NodeType::Nlft, 500000,
+    {"nlft-computation-fault", bbw::NodeType::Nlft,
      [](BbwSystemSim& sim) { sim.injectComputationFault(bbw::kWheelNodeBase, at(0.5)); }},
-    {"nlft-omission-value", bbw::NodeType::Nlft, 400000,
+    {"nlft-omission-value", bbw::NodeType::Nlft,
      [](BbwSystemSim& sim) {
        sim.injectOmissionFailure(bbw::kWheelNodeBase + 1, at(0.4));
        sim.injectValueFailure(bbw::kWheelNodeBase + 2, at(0.8));
      }},
-    {"fs-kernel-error-restart", bbw::NodeType::FailSilent, 400000,
+    {"fs-kernel-error-restart", bbw::NodeType::FailSilent,
      [](BbwSystemSim& sim) { sim.injectKernelError(bbw::kWheelNodeBase, at(0.4)); }},
-    {"bus-corruption", bbw::NodeType::Nlft, 500000,
+    {"bus-corruption", bbw::NodeType::Nlft,
      [](BbwSystemSim& sim) {
        sim.injectBusCorruption(bbw::kCuA, at(0.5));
        sim.injectBusCorruption(bbw::kWheelNodeBase + 3, at(0.9), {7, 133, 260});
      }},
-    {"cu-failover", bbw::NodeType::Nlft, 500000,
+    {"cu-failover", bbw::NodeType::Nlft,
      [](BbwSystemSim& sim) { sim.injectKernelError(bbw::kCuA, at(0.5)); }},
-    {"correlated-burst", bbw::NodeType::Nlft, 600000,
+    {"correlated-burst", bbw::NodeType::Nlft,
      [](BbwSystemSim& sim) {
        sim.injectKernelError(bbw::kWheelNodeBase, at(0.6));
        sim.injectKernelError(bbw::kWheelNodeBase + 2, at(0.6));
@@ -87,18 +84,6 @@ std::vector<std::string> goldenScenarioNames() {
   return names;
 }
 
-std::int64_t goldenScenarioEarliestUs(const std::string& name) {
-  for (const ScenarioEntry& entry : kScenarios) {
-    if (name == entry.name) return entry.earliestUs;
-  }
-  throw std::invalid_argument("unknown golden-trace scenario: " + name);
-}
-
-std::vector<std::string> recordScenarioTrace(const std::string& name,
-                                             const bbw::BbwSimConfig& base) {
-  return recordScenarioTrace(name, base, nullptr);
-}
-
 std::vector<std::string> recordScenarioTrace(const std::string& name, const bbw::BbwSimConfig& base,
                                              obs::TraceRecorder* recorder,
                                              obs::Registry* metrics) {
@@ -113,57 +98,6 @@ std::vector<std::string> recordScenarioTrace(const std::string& name, const bbw:
     if (metrics != nullptr) sim.setMetricsRegistry(metrics);
     entry.arm(sim);
     appendResultSummary(sim.run(), lines);
-    return lines;
-  }
-  throw std::invalid_argument("unknown golden-trace scenario: " + name);
-}
-
-std::vector<std::string> recordScenarioTraceResumed(const std::string& name,
-                                                    std::int64_t splitAtUs,
-                                                    const bbw::BbwSimConfig& base) {
-  for (const ScenarioEntry& entry : kScenarios) {
-    if (name != entry.name) continue;
-    BbwSimConfig config = base;
-    config.nodeType = entry.nodeType;
-    BbwSystemSim producer{config};
-    entry.arm(producer);
-    producer.runUntil(SimTime::fromUs(splitAtUs));
-    const std::vector<std::uint8_t> checkpoint = producer.saveState();
-
-    BbwSystemSim resumed{config};
-    std::vector<std::string> lines;
-    resumed.setTraceSink([&lines](const std::string& line) { lines.push_back(line); });
-    resumed.restoreState(checkpoint);
-    appendResultSummary(resumed.run(), lines);
-    return lines;
-  }
-  throw std::invalid_argument("unknown golden-trace scenario: " + name);
-}
-
-std::vector<std::string> recordScenarioTraceForked(const std::string& name,
-                                                   std::int64_t forkBeforeUs,
-                                                   const bbw::BbwSimConfig& base) {
-  for (const ScenarioEntry& entry : kScenarios) {
-    if (name != entry.name) continue;
-    BbwSimConfig config = base;
-    config.nodeType = entry.nodeType;
-
-    // The clean producer stands in for a campaign's shared golden baseline:
-    // no injections armed, checkpointed at the fork point.
-    BbwSystemSim clean{config};
-    clean.runUntil(SimTime::fromUs(forkBeforeUs));
-    if (clean.simulator().now().us() >= entry.earliestUs) {
-      throw std::invalid_argument(
-          "recordScenarioTraceForked: fork point not strictly before the first injection");
-    }
-    const std::vector<std::uint8_t> checkpoint = clean.saveState();
-
-    BbwSystemSim forked{config};
-    std::vector<std::string> lines;
-    forked.setTraceSink([&lines](const std::string& line) { lines.push_back(line); });
-    forked.restoreState(checkpoint);
-    entry.arm(forked);
-    appendResultSummary(forked.run(), lines);
     return lines;
   }
   throw std::invalid_argument("unknown golden-trace scenario: " + name);

@@ -23,49 +23,17 @@ namespace nlft::fi {
 /// Names of all catalogued scenarios, in a fixed order.
 [[nodiscard]] std::vector<std::string> goldenScenarioNames();
 
-/// Earliest injection instant (microseconds) a catalogued scenario arms.
-/// Forked recordings (recordScenarioTraceForked) must restore from a clean
-/// checkpoint taken STRICTLY before it. Throws for unknown names.
-[[nodiscard]] std::int64_t goldenScenarioEarliestUs(const std::string& name);
-
 /// Records the event trace of one catalogued scenario (throws
 /// std::invalid_argument for unknown names). The trailing lines summarise
 /// the BbwSimResult so silent counter drift is caught too. `base` carries
 /// the simulation knobs; the scenario overrides the node type itself.
+/// A non-null `recorder` (and `metrics`) is attached to the simulation, so
+/// observability output can be reconciled against the golden trace
+/// (tests/obs_system_test.cpp).
 [[nodiscard]] std::vector<std::string> recordScenarioTrace(const std::string& name,
-                                                           const bbw::BbwSimConfig& base = {});
-
-/// As above, but additionally attaches `recorder` (and `metrics`, when
-/// non-null) to the simulation, so observability output can be reconciled
-/// against the golden trace (tests/obs_system_test.cpp).
-[[nodiscard]] std::vector<std::string> recordScenarioTrace(const std::string& name,
-                                                           const bbw::BbwSimConfig& base,
-                                                           obs::TraceRecorder* recorder,
+                                                           const bbw::BbwSimConfig& base = {},
+                                                           obs::TraceRecorder* recorder = nullptr,
                                                            obs::Registry* metrics = nullptr);
-
-/// Snapshot-resume variant of recordScenarioTrace (the differential suite,
-/// tests/snapshot_differential_test.cpp): a producer simulation is armed
-/// with the same scenario, advanced to `splitAtUs` and checkpointed
-/// (BbwSystemSim::saveState); the returned trace comes from a FRESH
-/// simulation that restores the checkpoint — with its trace sink attached
-/// before restoreState, so the replayed prefix re-emits its events — and
-/// then runs to completion. Must be line-identical to the straight
-/// recording for every scenario and every split point.
-[[nodiscard]] std::vector<std::string> recordScenarioTraceResumed(
-    const std::string& name, std::int64_t splitAtUs, const bbw::BbwSimConfig& base = {});
-
-/// Campaign-forked variant (the system-campaign differential suite,
-/// tests/system_snapshot_differential_test.cpp): a CLEAN producer — no
-/// injections, exactly like a snapshot campaign's shared golden baseline —
-/// is advanced to `forkBeforeUs` and checkpointed; the returned trace comes
-/// from a fresh simulation that attaches its trace sink, restores the clean
-/// checkpoint (the replayed prefix re-emits its lines), arms the scenario
-/// and runs to completion. This is the execution shape of every
-/// snapshot-mode campaign experiment, so the trace must be line-identical
-/// to the straight recording. `forkBeforeUs` must leave the restored clock
-/// strictly before the scenario's earliest injection (throws otherwise).
-[[nodiscard]] std::vector<std::string> recordScenarioTraceForked(
-    const std::string& name, std::int64_t forkBeforeUs, const bbw::BbwSimConfig& base = {});
 
 /// First divergence between an expected and an actual trace.
 struct TraceDiff {

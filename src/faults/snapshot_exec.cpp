@@ -61,9 +61,8 @@ void MachineBaseline::forkAt(std::uint64_t instructions, hw::Machine& scratch) {
   ++resumePoints_;
 }
 
-SystemBaseline::SystemBaseline(bbw::BbwSimConfig config, util::Duration checkpointStride)
-    : config_(std::move(config)) {
-  strideUs_ = checkpointStride.us() > 0 ? checkpointStride.us() : config_.controlPeriod.us();
+SystemBaseline::SystemBaseline(bbw::BbwSimConfig config)
+    : config_(std::move(config)), strideUs_(config_.controlPeriod.us()) {
   if (strideUs_ <= 0) throw std::invalid_argument("SystemBaseline: non-positive stride");
 
   // One golden simulation does double duty: it records the checkpoint grid

@@ -127,10 +127,9 @@ struct SystemCheckpoint {
 /// omissions) simply never match and run straight to completion.
 class SystemBaseline {
  public:
-  /// Sweeps the golden run of `config`, checkpointing every
-  /// `checkpointStride` of simulated time (0 = one control period).
-  explicit SystemBaseline(bbw::BbwSimConfig config,
-                          util::Duration checkpointStride = util::Duration{});
+  /// Sweeps the golden run of `config`, checkpointing every control period
+  /// of simulated time.
+  explicit SystemBaseline(bbw::BbwSimConfig config);
 
   [[nodiscard]] const bbw::BbwSimConfig& config() const { return config_; }
   [[nodiscard]] const bbw::BbwSimResult& goldenResult() const { return golden_; }

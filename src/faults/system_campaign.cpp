@@ -246,7 +246,7 @@ SystemEngine makeSystemEngine(const SystemCampaignConfig& config) {
   SystemEngine engine;
   const BbwSimConfig sim = makeSimConfig(config);
   if (config.mode != ExecutionMode::Straight) {
-    engine.baseline = std::make_shared<const SystemBaseline>(sim, config.checkpointStride);
+    engine.baseline = std::make_shared<const SystemBaseline>(sim);
     engine.golden = engine.baseline->goldenResult();
     engine.goldenEvents = engine.baseline->sweepEvents();
     return engine;

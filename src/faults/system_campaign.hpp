@@ -136,8 +136,6 @@ struct SystemCampaignConfig {
   /// runs every simulation to its end. Statistics and metrics fingerprints
   /// are bit-identical across all three.
   ExecutionMode mode = ExecutionMode::Auto;
-  /// Golden checkpoint stride (0 = one control period).
-  util::Duration checkpointStride{};
 
   exec::Parallelism parallelism{};
   exec::ProgressFn onProgress;

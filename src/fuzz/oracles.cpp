@@ -176,9 +176,7 @@ std::uint32_t ScenarioSignature::key() const {
   return util::crc32({reinterpret_cast<const std::uint8_t*>(line.data()), line.size()});
 }
 
-bbw::BbwSimResult GoldenCache::get(
-    const ScenarioParams& params, std::int64_t horizonUs,
-    const std::function<void(std::vector<std::uint8_t>&)>& mutateCheckpoint) {
+bbw::BbwSimResult GoldenCache::get(const ScenarioParams& params, std::int64_t horizonUs) {
   std::string key = nodeTypeName(params.nodeType);
   key += '|' + fmt(params.initialSpeedMps) + '|' + fmt(params.pedal) + '|' +
          std::to_string(params.restartTimeUs) + '|' + std::to_string(horizonUs);
@@ -187,21 +185,7 @@ bbw::BbwSimResult GoldenCache::get(
     const auto it = cache_.find(key);
     if (it != cache_.end()) return it->second;
   }
-  // Snapshot-resume validation: advance the fault-free producer to mid
-  // horizon, checkpoint it there, and take the cached result from a fresh
-  // simulation restored from the checkpoint (the restore replays the first
-  // half, the replica then finishes the run — 1.5 full runs instead of the
-  // 2.0 a full-horizon producer would cost). restoreState throws on a
-  // damaged blob or a diverging replay BEFORE anything reaches the cache,
-  // so a corrupted checkpoint surfaces as a det.replay violation at the
-  // caller rather than a poisoned entry.
-  BbwSystemSim producer{simConfigFor(params, horizonUs)};
-  producer.runUntil(util::SimTime::fromUs(horizonUs / 2));
-  std::vector<std::uint8_t> checkpoint = producer.saveState();
-  if (mutateCheckpoint) mutateCheckpoint(checkpoint);
-  BbwSystemSim replica{simConfigFor(params, horizonUs)};
-  replica.restoreState(checkpoint);
-  const bbw::BbwSimResult golden = replica.run();
+  const bbw::BbwSimResult golden = runScenarioSim(params, {}, horizonUs);
   std::lock_guard<std::mutex> lock{mutex_};
   return cache_.emplace(key, golden).first->second;
 }
@@ -212,17 +196,7 @@ ScenarioVerdict evaluateScenario(const Scenario& scenario, const OracleConfig& c
   GoldenCache localCache;
   GoldenCache& cache = goldenCache != nullptr ? *goldenCache : localCache;
 
-  BbwSimResult golden;
-  try {
-    golden = cache.get(scenario.params, config.horizonUs, config.corruptReplayCheckpoint);
-  } catch (const std::exception& error) {
-    // The golden cache's validation restore rejected the checkpoint: report
-    // it as a det.replay violation; nothing was cached.
-    verdict.violations.push_back(
-        {"det.replay",
-         std::string{"golden checkpoint restore rejected instead of cached: "} + error.what()});
-    return verdict;
-  }
+  const BbwSimResult golden = cache.get(scenario.params, config.horizonUs);
   verdict.goldenDistanceM = golden.stoppingDistanceM;
   if (!golden.stopped) return verdict;  // invalid: oracles are vacuous here
   verdict.valid = true;
@@ -289,39 +263,16 @@ ScenarioVerdict evaluateScenario(const Scenario& scenario, const OracleConfig& c
     }
   }
 
-  // det.replay, re-pointed at snapshot-resume: advance a twin of the
-  // scenario to a mid-stop split point, checkpoint it, restore the
-  // checkpoint into a fresh simulation and run that one to completion. The
-  // resumed run must reproduce the straight run's metrics fingerprint
-  // byte-for-byte (the metrics registry is attached BEFORE restoreState, so
-  // the replayed prefix streams the same live samples as the straight run),
-  // and a checkpoint the restore layer rejects is itself a violation.
+  // det.replay: a straight twin run of the same scenario, with its own
+  // registry, must reproduce the run's metrics fingerprint byte-for-byte.
   if (config.checkReplayDeterminism) {
-    const std::int64_t splitUs =
-        std::max<std::int64_t>(static_cast<std::int64_t>(golden.stopTimeS * 500000.0), 1000);
-    try {
-      BbwSystemSim twin{simConfigFor(scenario.params, config.horizonUs)};
-      for (const ScheduleEvent& event : scenario.events) applyEvent(twin, event);
-      twin.runUntil(util::SimTime::fromUs(splitUs));
-      std::vector<std::uint8_t> checkpoint = twin.saveState();
-      if (config.corruptReplayCheckpoint) config.corruptReplayCheckpoint(checkpoint);
-      obs::Registry replayMetrics;
-      BbwSystemSim resumed{simConfigFor(scenario.params, config.horizonUs)};
-      resumed.setMetricsRegistry(&replayMetrics);
-      resumed.restoreState(checkpoint);
-      (void)resumed.run();
-      if (replayMetrics.goldenFingerprint() != fingerprint) {
-        verdict.violations.push_back(
-            {"det.replay",
-             "metrics fingerprint differs between the straight run and the snapshot-resume "
-             "replay split at " + std::to_string(splitUs) +
-                 "us — ambient nondeterminism or a drifting restore"});
-      }
-    } catch (const std::exception& error) {
+    obs::Registry replayMetrics;
+    (void)runScenarioSim(scenario.params, scenario.events, config.horizonUs, &replayMetrics);
+    if (replayMetrics.goldenFingerprint() != fingerprint) {
       verdict.violations.push_back(
           {"det.replay",
-           std::string{"snapshot-resume replay at "} + std::to_string(splitUs) +
-               "us rejected the checkpoint: " + error.what()});
+           "metrics fingerprint differs between two straight runs of the same scenario — "
+           "ambient nondeterminism"});
     }
   }
 

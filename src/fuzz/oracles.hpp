@@ -16,14 +16,11 @@
 //                         (fail-silent baseline) must not yield a STRICTLY
 //                         LESS severe outcome, and must not mask more: TEM
 //                         only ever improves the outcome class;
-//   det.replay            snapshot-resume determinism: a twin of the
-//                         scenario is advanced to a mid-run split point,
-//                         checkpointed (BbwSystemSim::saveState) and restored
-//                         into a fresh simulation; the resumed run must
-//                         reproduce the straight run's metrics fingerprint
-//                         byte-for-byte, and a checkpoint the restore layer
-//                         rejects is itself a violation (the campaign layer
-//                         separately pins thread-count bit-identity).
+//   det.replay            replay determinism: a straight twin run of the
+//                         scenario, with its own metrics registry, must
+//                         reproduce the run's metrics fingerprint
+//                         byte-for-byte (the campaign layer separately pins
+//                         thread-count bit-identity).
 //
 // Violations carry the oracle id plus the numbers that refute the property;
 // the shrinker reduces the scenario while the SAME oracle keeps failing.
@@ -64,13 +61,6 @@ struct OracleConfig {
   /// Simulation horizon; scenarios whose fault-free stop does not complete
   /// inside it are classified invalid and never reach the oracles.
   std::int64_t horizonUs = 15'000'000;
-
-  /// TEST HOOK: when set, every replay checkpoint blob (the golden cache's
-  /// validation restore and the det.replay resume leg) passes through this
-  /// mutator before being restored. Tests use it to prove a deliberately
-  /// corrupted checkpoint is reported as a det.replay violation instead of
-  /// being cached or silently accepted.
-  std::function<void(std::vector<std::uint8_t>&)> corruptReplayCheckpoint;
 };
 
 /// Resolves the 0-defaults of `config` against the registered verifier
@@ -122,22 +112,11 @@ struct ScenarioVerdict {
 
 /// Shared fault-free reference runs, keyed by the perturbed parameters.
 /// Golden results are pure functions of the parameters, so the cache only
-/// affects speed, never results; safe to share across worker threads.
-///
-/// Re-pointed at snapshot-resume (docs/SNAPSHOT.md): a cache miss runs the
-/// fault-free producer, checkpoints it (BbwSystemSim::saveState) and takes
-/// the cached result from a fresh simulation restored from that checkpoint,
-/// so every entry in the cache has survived a full save/restore round-trip.
-/// restoreState throws on a damaged blob or a diverging replay, and a
-/// throwing restore caches NOTHING — the caller reports it as a det.replay
-/// violation instead.
+/// affects speed, never results; safe to share across worker threads. A
+/// miss is one straight fault-free run.
 class GoldenCache {
  public:
-  /// `mutateCheckpoint` is the OracleConfig::corruptReplayCheckpoint test
-  /// hook; leave empty outside tests.
-  [[nodiscard]] bbw::BbwSimResult get(
-      const ScenarioParams& params, std::int64_t horizonUs,
-      const std::function<void(std::vector<std::uint8_t>&)>& mutateCheckpoint = {});
+  [[nodiscard]] bbw::BbwSimResult get(const ScenarioParams& params, std::int64_t horizonUs);
 
  private:
   std::mutex mutex_;

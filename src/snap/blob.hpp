@@ -1,11 +1,11 @@
 // Versioned, sectioned, CRC-protected binary snapshot format.
 //
-// Every saveState() blob in the framework (hw::Machine, bbw::BbwSystemSim)
-// uses this container so the failure modes are uniform and testable:
+// hw::Machine::saveState() blobs use this container so the failure modes
+// are uniform and testable:
 //
-//   * a header pins the snapshot KIND (machine vs system) and a per-kind
-//     FORMAT VERSION — restoring a blob of the wrong kind or of a newer
-//     version fails loudly instead of misparsing;
+//   * a header pins the snapshot KIND and a per-kind FORMAT VERSION —
+//     restoring a blob of the wrong kind or of a newer version fails loudly
+//     instead of misparsing;
 //   * the payload is split into named sections, each protected by its own
 //     CRC-32 — a truncated or bit-flipped blob is rejected with a
 //     diagnostic NAMING the damaged section ("snapshot section 'mem': CRC
@@ -32,7 +32,6 @@ namespace nlft::snap {
 
 /// Snapshot kinds (the `kind` header field).
 inline constexpr std::uint16_t kMachineSnapshot = 1;  ///< hw::Machine
-inline constexpr std::uint16_t kSystemSnapshot = 2;   ///< bbw::BbwSystemSim
 
 /// Header magic: "NLSN" in little-endian byte order.
 inline constexpr std::uint32_t kBlobMagic = 0x4E534C4Eu;

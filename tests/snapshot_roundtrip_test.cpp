@@ -1,14 +1,13 @@
 // Property tests for the versioned snapshot state format (ctest label
 // "snapshot"; docs/SNAPSHOT.md).
 //
-// Pins the contract of hw::Machine::saveState/restoreState and the
-// BbwSystemSim replay checkpoints:
+// Pins the contract of hw::Machine::saveState/restoreState:
 //   - save -> restore -> save is byte-identical for randomized states;
 //   - truncated or bit-flipped blobs are rejected by the per-section CRC
 //     with a diagnostic NAMING the damaged section;
 //   - a blob with a bumped format version fails loudly instead of being
 //     misparsed;
-//   - a blob of the wrong KIND (machine vs system) is refused;
+//   - a blob of another KIND is refused;
 //   - fi::runTracedCopy verifies the reconstructed machine against the
 //     campaign baseline snapshot and throws on drift (regression for the
 //     silent-drift hazard).
@@ -20,7 +19,6 @@
 #include <vector>
 
 #include "bbw/guest_programs.hpp"
-#include "bbw/system_sim.hpp"
 #include "faults/campaign.hpp"
 #include "faults/snapshot_exec.hpp"
 #include "hw/machine.hpp"
@@ -29,9 +27,6 @@
 
 namespace nlft {
 namespace {
-
-using bbw::BbwSimConfig;
-using bbw::BbwSystemSim;
 
 /// A machine in a randomized mid-execution state: the guest image loaded,
 /// then advanced by a random number of instructions.
@@ -69,32 +64,6 @@ TEST(SnapshotRoundtrip, RestoredMachineContinuesBitIdentically) {
     (void)machine.run(10);
     (void)restored.run(10);
     EXPECT_EQ(machine.saveState(), restored.saveState());
-  }
-}
-
-TEST(SnapshotRoundtrip, SystemSaveRestoreSaveIsByteIdentical) {
-  util::Rng rng{0x5751e3ULL};
-  for (int round = 0; round < 3; ++round) {
-    SCOPED_TRACE(round);
-    BbwSimConfig config;
-    config.initialSpeedMps = 20.0 + rng.uniform(0.0, 15.0);
-    config.pedal = 0.7 + rng.uniform(0.0, 0.3);
-
-    BbwSystemSim producer{config};
-    const net::NodeId node =
-        static_cast<net::NodeId>(1 + rng.uniformInt(6));
-    producer.injectComputationFault(node, util::SimTime::fromUs(400000));
-    if (rng.bernoulli(0.5)) {
-      producer.injectKernelError(bbw::kWheelNodeBase, util::SimTime::fromUs(700000));
-    }
-    producer.runUntil(util::SimTime::fromUs(
-        static_cast<std::int64_t>(200000 + rng.uniformInt(2000000))));
-    const std::vector<std::uint8_t> first = producer.saveState();
-
-    BbwSystemSim restored{config};
-    restored.restoreState(first);
-    EXPECT_EQ(first, restored.saveState());
-    EXPECT_EQ(producer.stateFingerprint(), restored.stateFingerprint());
   }
 }
 
@@ -141,21 +110,6 @@ TEST(SnapshotRoundtrip, BitFlippedMachineBlobNamesTheDamagedSection) {
   }
 }
 
-TEST(SnapshotRoundtrip, BitFlippedSystemBlobNamesTheDamagedSection) {
-  BbwSystemSim producer{BbwSimConfig{}};
-  producer.runUntil(util::SimTime::fromUs(500000));
-  const std::vector<std::uint8_t> blob = producer.saveState();
-  std::vector<std::uint8_t> corrupted = blob;
-  corrupted[10] ^= 0x04;  // inside the "config" section
-  BbwSystemSim fresh{BbwSimConfig{}};
-  try {
-    fresh.restoreState(corrupted);
-    FAIL() << "corrupted blob was accepted";
-  } catch (const snap::BlobError& error) {
-    EXPECT_NE(std::string{error.what()}.find("'config'"), std::string::npos) << error.what();
-  }
-}
-
 TEST(SnapshotRoundtrip, VersionBumpFailsLoudly) {
   const fi::TaskImage image = bbw::guestPrograms().front().makeNominalImage();
   std::vector<std::uint8_t> blob = fi::machineBaselineSnapshot(image);
@@ -171,49 +125,20 @@ TEST(SnapshotRoundtrip, VersionBumpFailsLoudly) {
 }
 
 TEST(SnapshotRoundtrip, WrongKindIsRefused) {
-  // A machine blob restored into a system simulation (and vice versa) must
-  // be refused by the kind field, not misparsed.
+  // A well-formed blob of another kind must be refused by the kind field,
+  // not misparsed as a machine.
   const fi::TaskImage image = bbw::guestPrograms().front().makeNominalImage();
-  const std::vector<std::uint8_t> machineBlob = fi::machineBaselineSnapshot(image);
-  BbwSystemSim fresh{BbwSimConfig{}};
-  EXPECT_THROW(fresh.restoreState(machineBlob), snap::BlobError);
-
-  BbwSystemSim producer{BbwSimConfig{}};
-  producer.runUntil(util::SimTime::fromUs(200000));
-  const std::vector<std::uint8_t> systemBlob = producer.saveState();
+  snap::BlobWriter writer{snap::kMachineSnapshot + 1, hw::kMachineStateVersion};
+  writer.beginSection("cpu");
+  writer.u64(0);
+  writer.endSection();
+  const std::vector<std::uint8_t> foreignBlob = writer.finish();
   hw::Machine machine{image.memBytes};
-  EXPECT_THROW(machine.restoreState(systemBlob), snap::BlobError);
-}
-
-TEST(SnapshotRoundtrip, RestoreIntoUsedSystemSimIsRefused) {
-  BbwSystemSim producer{BbwSimConfig{}};
-  producer.runUntil(util::SimTime::fromUs(300000));
-  const std::vector<std::uint8_t> blob = producer.saveState();
-
-  BbwSystemSim advanced{BbwSimConfig{}};
-  advanced.runUntil(util::SimTime::fromUs(1000));
-  EXPECT_THROW(advanced.restoreState(blob), std::runtime_error);
-
-  BbwSystemSim injected{BbwSimConfig{}};
-  injected.injectComputationFault(bbw::kCuA, util::SimTime::fromUs(500000));
-  EXPECT_THROW(injected.restoreState(blob), std::runtime_error);
-}
-
-TEST(SnapshotRoundtrip, SystemConfigMismatchIsRefused) {
-  BbwSimConfig config;
-  BbwSystemSim producer{config};
-  producer.runUntil(util::SimTime::fromUs(300000));
-  const std::vector<std::uint8_t> blob = producer.saveState();
-
-  BbwSimConfig other = config;
-  other.initialSpeedMps += 1.0;
-  BbwSystemSim mismatched{other};
   try {
-    mismatched.restoreState(blob);
-    FAIL() << "checkpoint restored under a different configuration";
-  } catch (const std::runtime_error& error) {
-    EXPECT_NE(std::string{error.what()}.find("configuration"), std::string::npos)
-        << error.what();
+    machine.restoreState(foreignBlob);
+    FAIL() << "blob of another kind was accepted";
+  } catch (const snap::BlobError& error) {
+    EXPECT_NE(std::string{error.what()}.find("kind"), std::string::npos) << error.what();
   }
 }
 

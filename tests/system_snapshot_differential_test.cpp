@@ -2,17 +2,15 @@
 // engine (docs/SNAPSHOT.md "system campaigns"): every experiment simulates
 // from t=0 and, once it provably rejoins the golden timeline, has the golden
 // tail spliced on. Spliced execution must be indistinguishable from
-// straight execution in every observable: campaign statistics, metrics
-// fingerprints, golden event traces. Thread counts may only move
+// straight execution in every observable: campaign statistics and metrics
+// fingerprints. Thread counts may only move
 // wall-clock time, never a result or an engine counter.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
 #include <optional>
-#include <stdexcept>
 
-#include "faults/golden_trace.hpp"
 #include "faults/snapshot_exec.hpp"
 #include "faults/system_campaign.hpp"
 #include "obs/metrics.hpp"
@@ -257,24 +255,6 @@ TEST(SystemSnapshotDifferential, GoldenLatencyTailMatchesATwinRun) {
   }
 }
 
-TEST(SystemSnapshotDifferential, ForkedGoldenTracesAreLineIdentical) {
-  const bbw::BbwSimConfig base{};
-  for (const std::string& name : goldenScenarioNames()) {
-    const std::vector<std::string> straight = recordScenarioTrace(name, base);
-    const std::int64_t earliestUs = goldenScenarioEarliestUs(name);
-    // Fork both mid-prefix and just before the first injection: the
-    // restored replay must re-emit the prefix lines verbatim and the armed
-    // tail must not depend on where the fork happened.
-    for (const std::int64_t forkUs : {earliestUs / 2, earliestUs - 100000}) {
-      const std::vector<std::string> forked = recordScenarioTraceForked(name, forkUs, base);
-      const TraceDiff diff = compareTraces(straight, forked);
-      EXPECT_TRUE(diff.identical)
-          << name << " forked at " << forkUs << "us diverges at line " << diff.line
-          << "\n  expected: " << diff.expected << "\n  actual:   " << diff.actual;
-    }
-  }
-}
-
 TEST(SystemSnapshotDifferential, PedalProfileClosureForksBitIdentically) {
   // Every campaign sim, the golden sweep included, is built from the SAME
   // config object, so the splice compares runs that execute the same
@@ -289,20 +269,6 @@ TEST(SystemSnapshotDifferential, PedalProfileClosureForksBitIdentically) {
   snapConfig.mode = ExecutionMode::Snapshot;
   const SystemCampaignStats snapshot = runSystemCampaign(snapConfig);
   expectSameResults(straight, snapshot);
-
-  // A replay checkpoint pins the closure only by PRESENCE (code cannot be
-  // serialized): restoring one into a sim whose config LACKS the closure
-  // must abort on the config-digest mismatch, not silently replay a different
-  // braking profile.
-  bbw::BbwSimConfig with = straightConfig.sim;
-  with.nodeType = straightConfig.nodeType;
-  bbw::BbwSystemSim producer{with};
-  producer.runUntil(util::SimTime::fromUs(100000));
-  const std::vector<std::uint8_t> blob = producer.saveState();
-  bbw::BbwSimConfig without = with;
-  without.pedalProfile = nullptr;
-  bbw::BbwSystemSim stranger{without};
-  EXPECT_THROW(stranger.restoreState(blob), std::runtime_error);
 }
 
 }  // namespace

@@ -75,28 +75,25 @@ for build in build build-cov build-asan build-tsan; do
   fi
 done
 
-# Snapshot-resume determinism: replaying one checked-in corpus case via a
-# checkpoint/restore split (BbwSystemSim::saveState at 900 ms, restored into
-# a fresh simulation) must reproduce the straight run's metrics fingerprint
-# byte for byte — the docs/SNAPSHOT.md equivalence contract, spot-checked
-# here on top of the full differential suite (ctest -L snapshot). Skipped on
-# a fresh checkout, like the trace check above.
+# Fingerprint determinism: two straight runs of one checked-in corpus case
+# must print byte-identical metrics fingerprints (nlft-fuzz --fingerprint;
+# the full split-equivalence suite is ctest -L snapshot). Skipped on a fresh
+# checkout, like the trace check above.
 for build in build build-cov build-asan build-tsan; do
   exe="$build/tools/nlft-fuzz"
   if [ -x "$exe" ]; then
     case=$(ls tests/corpus/case-*.json 2>/dev/null | head -n 1)
     if [ -n "$case" ]; then
-      straight=$("$exe" --fingerprint "$case" 2>&1)
+      a=$("$exe" --fingerprint "$case" 2>&1)
       rc_a=$?
-      resumed=$("$exe" --fingerprint "$case" --resume-split 900000 2>&1)
+      b=$("$exe" --fingerprint "$case" 2>&1)
       rc_b=$?
-      if [ "$rc_a" -eq 0 ] && [ "$rc_b" -eq 0 ] && [ -n "$straight" ] && \
-         [ "$straight" = "$resumed" ]; then
-        echo "determinism lint: snapshot-resume replay byte-identical ($exe)"
+      if [ "$rc_a" -eq 0 ] && [ "$rc_b" -eq 0 ] && [ -n "$a" ] && [ "$a" = "$b" ]; then
+        echo "determinism lint: nlft-fuzz --fingerprint byte-identical ($exe)"
       else
-        echo "determinism lint: snapshot-resume replay diverged from the straight run ($exe, $case)" >&2
-        echo "  straight: $straight" >&2
-        echo "  resumed:  $resumed" >&2
+        echo "determinism lint: nlft-fuzz --fingerprint diverged or failed ($exe, $case)" >&2
+        echo "  first:  $a" >&2
+        echo "  second: $b" >&2
         status=1
       fi
     fi

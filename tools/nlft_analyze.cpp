@@ -8,7 +8,6 @@
 // control-flow errors (trace leaves the CFG) the signature monitor catches.
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <exception>
 #include <string>
 #include <vector>
@@ -17,6 +16,7 @@
 #include "bbw/guest_programs.hpp"
 #include "core/control_flow.hpp"
 #include "faults/campaign.hpp"
+#include "util/parse.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -88,7 +88,7 @@ int run(int argc, char** argv) {
     }
     if (arg == "--cross-check") {
       if (i + 1 >= argc) return usage();
-      crossCheckRuns = static_cast<std::size_t>(std::strtoull(argv[++i], nullptr, 10));
+      crossCheckRuns = util::parseInteger<std::size_t>(arg, argv[++i]);
       continue;
     }
     if (arg.rfind("--", 0) == 0) return usage();

@@ -14,17 +14,13 @@
 //   nlft-fuzz --replay case.json --shrink
 //       shrink the replayed case against its first violated oracle and
 //       print the minimized scenario.
-//   nlft-fuzz --fingerprint case.json [--resume-split US]
-//       print the case's metrics fingerprint from one straight run — or,
-//       with --resume-split, from a run checkpointed at US microseconds and
-//       resumed in a fresh simulation via BbwSystemSim::saveState/
-//       restoreState (docs/SNAPSHOT.md). tools/determinism_lint.sh
-//       byte-compares the two outputs.
+//   nlft-fuzz --fingerprint case.json
+//       print the case's metrics fingerprint from one straight run;
+//       tools/determinism_lint.sh byte-compares two such runs.
 //
 // Exit status: 0 clean, 1 oracle violation / replay mismatch, 2 usage.
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <exception>
 #include <string>
 #include <vector>
@@ -33,6 +29,7 @@
 #include "fuzz/fuzzer.hpp"
 #include "fuzz/shrink.hpp"
 #include "obs/metrics.hpp"
+#include "util/parse.hpp"
 
 namespace {
 
@@ -42,16 +39,14 @@ int usage() {
   std::fputs(
       "usage: nlft-fuzz [--budget N] [--seed S] [--threads T] [--chunk C] [--out DIR]\n"
       "       nlft-fuzz --replay case.json [...] [--shrink]\n"
-      "       nlft-fuzz --fingerprint case.json [--resume-split US]\n",
+      "       nlft-fuzz --fingerprint case.json\n",
       stderr);
   return 2;
 }
 
-/// Straight or snapshot-resumed execution of one corpus case, reduced to
-/// its metrics fingerprint. The resumed variant attaches the metrics
-/// registry BEFORE restoreState so the replayed prefix streams the same
-/// live samples as the straight run.
-int fingerprint(const std::string& file, std::int64_t resumeSplitUs) {
+/// One straight execution of a corpus case, reduced to its metrics
+/// fingerprint.
+int fingerprint(const std::string& file) {
   const fuzz::CorpusEntry entry = fuzz::loadCorpusEntry(file);
   bbw::BbwSimConfig config;
   config.nodeType = entry.scenario.params.nodeType;
@@ -59,38 +54,23 @@ int fingerprint(const std::string& file, std::int64_t resumeSplitUs) {
   config.pedal = entry.scenario.params.pedal;
   config.restartTime = util::Duration::microseconds(entry.scenario.params.restartTimeUs);
 
-  const auto arm = [&entry](bbw::BbwSystemSim& sim) {
-    for (const fuzz::ScheduleEvent& event : entry.scenario.events) {
-      const util::SimTime at = util::SimTime::fromUs(event.atUs);
-      switch (event.kind) {
-        case fuzz::EventKind::ComputationFault: sim.injectComputationFault(event.node, at); break;
-        case fuzz::EventKind::DetectedError: sim.injectDetectedError(event.node, at); break;
-        case fuzz::EventKind::KernelError: sim.injectKernelError(event.node, at); break;
-        case fuzz::EventKind::OmissionFailure: sim.injectOmissionFailure(event.node, at); break;
-        case fuzz::EventKind::ValueFailure: sim.injectValueFailure(event.node, at); break;
-        case fuzz::EventKind::BusCorruption:
-          sim.injectBusCorruption(event.node, at, event.flipBits);
-          break;
-      }
-    }
-  };
-
   obs::Registry metrics;
-  if (resumeSplitUs < 0) {
-    bbw::BbwSystemSim sim{config};
-    sim.setMetricsRegistry(&metrics);
-    arm(sim);
-    (void)sim.run();
-  } else {
-    bbw::BbwSystemSim producer{config};
-    arm(producer);
-    producer.runUntil(util::SimTime::fromUs(resumeSplitUs));
-    const std::vector<std::uint8_t> checkpoint = producer.saveState();
-    bbw::BbwSystemSim resumed{config};
-    resumed.setMetricsRegistry(&metrics);
-    resumed.restoreState(checkpoint);
-    (void)resumed.run();
+  bbw::BbwSystemSim sim{config};
+  sim.setMetricsRegistry(&metrics);
+  for (const fuzz::ScheduleEvent& event : entry.scenario.events) {
+    const util::SimTime at = util::SimTime::fromUs(event.atUs);
+    switch (event.kind) {
+      case fuzz::EventKind::ComputationFault: sim.injectComputationFault(event.node, at); break;
+      case fuzz::EventKind::DetectedError: sim.injectDetectedError(event.node, at); break;
+      case fuzz::EventKind::KernelError: sim.injectKernelError(event.node, at); break;
+      case fuzz::EventKind::OmissionFailure: sim.injectOmissionFailure(event.node, at); break;
+      case fuzz::EventKind::ValueFailure: sim.injectValueFailure(event.node, at); break;
+      case fuzz::EventKind::BusCorruption:
+        sim.injectBusCorruption(event.node, at, event.flipBits);
+        break;
+    }
   }
+  (void)sim.run();
   std::fprintf(stdout, "%s\n", metrics.goldenFingerprint().c_str());
   return 0;
 }
@@ -160,7 +140,6 @@ int run(int argc, char** argv) {
   std::vector<std::string> replayFiles;
   std::string outDir;
   std::string fingerprintFile;
-  std::int64_t resumeSplitUs = -1;
   bool shrink = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -171,19 +150,19 @@ int run(int argc, char** argv) {
     if (arg == "--budget") {
       const char* v = value();
       if (v == nullptr) return usage();
-      config.budget = static_cast<std::size_t>(std::strtoull(v, nullptr, 10));
+      config.budget = util::parseInteger<std::size_t>(arg, v);
     } else if (arg == "--seed") {
       const char* v = value();
       if (v == nullptr) return usage();
-      config.seed = std::strtoull(v, nullptr, 10);
+      config.seed = util::parseInteger<std::uint64_t>(arg, v);
     } else if (arg == "--threads") {
       const char* v = value();
       if (v == nullptr) return usage();
-      config.parallelism.threads = static_cast<unsigned>(std::strtoul(v, nullptr, 10));
+      config.parallelism.threads = util::parseInteger<unsigned>(arg, v);
     } else if (arg == "--chunk") {
       const char* v = value();
       if (v == nullptr) return usage();
-      config.parallelism.chunkSize = static_cast<std::size_t>(std::strtoull(v, nullptr, 10));
+      config.parallelism.chunkSize = util::parseInteger<std::size_t>(arg, v);
     } else if (arg == "--out") {
       const char* v = value();
       if (v == nullptr) return usage();
@@ -198,10 +177,6 @@ int run(int argc, char** argv) {
       const char* v = value();
       if (v == nullptr) return usage();
       fingerprintFile = v;
-    } else if (arg == "--resume-split") {
-      const char* v = value();
-      if (v == nullptr) return usage();
-      resumeSplitUs = std::strtoll(v, nullptr, 10);
     } else if (arg.rfind("--", 0) == 0) {
       return usage();
     } else if (!replayFiles.empty()) {
@@ -211,7 +186,7 @@ int run(int argc, char** argv) {
     }
   }
 
-  if (!fingerprintFile.empty()) return fingerprint(fingerprintFile, resumeSplitUs);
+  if (!fingerprintFile.empty()) return fingerprint(fingerprintFile);
   if (!replayFiles.empty()) return replay(replayFiles, shrink, config);
 
   const fuzz::FuzzReport report = fuzz::runFuzzer(config);
