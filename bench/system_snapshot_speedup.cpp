@@ -1,11 +1,15 @@
-// System-campaign splice engine speedup: simulated events and wall time of
-// straight execution vs spliced execution (simulate from t=0, splice the
-// golden tail once the run provably rejoins the fault-free timeline) on the
-// SAME scenario samples (same seed, same chunking).
+// System-campaign fork + splice engine speedup: simulated events and wall
+// time of straight execution vs forked and spliced execution (fork from the
+// last stored golden state before the injection, splice the golden tail
+// once the run provably rejoins the fault-free timeline) on the SAME
+// scenario samples (same seed, same chunking).
 //
-// The whole saving comes from the REJOIN SPLICE: a masked or healed fault
-// stops simulating once its run provably re-enters the golden timeline, and
-// the golden tail is spliced on arithmetically. The acceptance floor is a
+// The saving has two sources. The FORK skips the clean prefix: every
+// experiment starts from a stored golden state at most one fork stride
+// before its injection instead of from t=0. The REJOIN SPLICE skips the
+// clean tail: a masked or healed fault stops simulating once its run
+// provably re-enters the golden timeline, and the golden tail is spliced on
+// arithmetically. The acceptance floor is a
 // >=2x reduction in simulated events per campaign, for plain AND for
 // metrics-instrumented campaigns (the splice exports exactly the metrics a
 // complete run would). Campaign statistics must be bit-identical between
@@ -157,6 +161,9 @@ int main(int argc, char** argv) {
               instrumentedRatio);
   std::printf("wall time                  straight %.3fs vs snapshot %.3fs\n", straightSeconds,
               snapshotSeconds);
+  std::printf("golden-state forks         %llu of %llu simulated experiments\n",
+              static_cast<unsigned long long>(snapshot.snap.resumePoints),
+              static_cast<unsigned long long>(copies));
   std::printf("rejoin splices             %.1f%% of simulated experiments (%llu masked skips)\n",
               100.0 * replayedFraction, static_cast<unsigned long long>(snapshot.skippedMasked));
   std::printf("mode & thread equivalence  %s\n",
@@ -181,6 +188,8 @@ int main(int argc, char** argv) {
              obs::JsonValue::integer(static_cast<std::int64_t>(snapshot.snap.replayedCopies)));
   report.set("executed_copies",
              obs::JsonValue::integer(static_cast<std::int64_t>(snapshot.snap.executedCopies)));
+  report.set("forked_experiments",
+             obs::JsonValue::integer(static_cast<std::int64_t>(snapshot.snap.resumePoints)));
   report.set("skipped_masked",
              obs::JsonValue::integer(static_cast<std::int64_t>(snapshot.skippedMasked)));
   report.set("outcomes_bit_identical", obs::JsonValue::boolean(equivalent));

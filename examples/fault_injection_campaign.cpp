@@ -12,17 +12,24 @@
 //
 //   $ ./fault_injection_campaign [experiments] [threads]   (threads 0 = all cores)
 #include <cstdio>
-#include <cstdlib>
+#include <stdexcept>
 
 #include "analysis/analyzer.hpp"
 #include "bbw/wheel_task.hpp"
+#include "util/parse.hpp"
 
 using namespace nlft;
 
 int main(int argc, char** argv) {
-  const std::size_t experiments = argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 5000;
-  const unsigned threads =
-      argc > 2 ? static_cast<unsigned>(std::strtoul(argv[2], nullptr, 10)) : 0;
+  std::size_t experiments = 5000;
+  unsigned threads = 0;
+  try {
+    if (argc > 1) experiments = util::parseInteger<std::size_t>("experiments", argv[1]);
+    if (argc > 2) threads = util::parseInteger<unsigned>("threads", argv[2]);
+  } catch (const std::invalid_argument& error) {
+    std::fprintf(stderr, "fault_injection_campaign: %s\n", error.what());
+    return 2;
+  }
 
   const fi::TaskImage image = bbw::makeWheelTaskImage(800 * 256, 50, 600 * 256);
   const fi::CopyRun golden = fi::goldenRun(image);

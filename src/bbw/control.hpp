@@ -18,6 +18,8 @@ struct CentralUnitConfig {
   double maxTotalForceN = 18000.0;  ///< total brake force at full pedal
   double frontShare = 0.6;          ///< front axle share of the total force
   double wheelRadiusM = 0.30;
+
+  friend bool operator==(const CentralUnitConfig&, const CentralUnitConfig&) = default;
 };
 
 /// Pedal position [0,1] -> per-wheel brake torque request (N m).

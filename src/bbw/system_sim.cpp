@@ -150,10 +150,16 @@ const BbwDeployment& bbwDeployment() {
   return deployment;
 }
 
-struct BbwSystemSim::Impl {
+struct BbwSystemSim::Impl final : sim::EventHandler {
+  // Typed-event handlers register in construction order — bus, membership,
+  // this simulation's plant step, then each node's kernel in build() — so
+  // every simulation built from one config assigns the same indices and a
+  // fork's copied event records dispatch to its own components.
   explicit Impl(BbwSimConfig cfg)
       : config{cfg}, bus{simulator, bbwDeployment().bus}, membership{simulator, bus},
-        vehicle{cfg.vehicle} {}
+        vehicle{cfg.vehicle} {
+    plantHandler = simulator.addHandler(*this);
+  }
 
   struct Node {
     net::NodeId id = 0;
@@ -218,6 +224,12 @@ struct BbwSystemSim::Impl {
   obs::Registry* metrics = nullptr;
   obs::TraceRecorder* recorder = nullptr;
   bool tapsWired = false;
+  std::uint32_t plantHandler = 0;
+  // Every event due strictly before this instant has been processed: set by
+  // runBefore() and inherited by forks, whose injections must not land in
+  // the already-simulated prefix.
+  SimTime settledBefore;
+  bool forked = false;
 
   /// Emits one trace line, prefixed with the simulated time in microseconds.
   void trace(const std::string& message) {
@@ -252,6 +264,7 @@ struct BbwSystemSim::Impl {
       Node& n = nodes.back();
       n.id = id;
       n.cpu = std::make_unique<rt::Cpu>(simulator);
+      n.cpu->setTraceEnabled(false);  // only emitSpans() reads it (setTraceRecorder)
       n.kernel = std::make_unique<rt::RtKernel>(simulator, *n.cpu);
       n.kernel->setFailSilentHook([this, id] { onNodeSilent(id, /*scheduleRestart=*/true); });
       n.kernel->setResultSink([this, id](const rt::JobResult& result) { onResult(id, result); });
@@ -729,23 +742,107 @@ struct BbwSystemSim::Impl {
   }
 
   void schedulePlantStep() {
-    simulator.scheduleAfter(config.plantStep, [this] {
-      vehicle.step(config.plantStep.toSeconds());
-      if (vehicle.stopped()) {
-        if (!vehicleStopped) {
-          vehicleStopped = true;
-          stopTimeS = simulator.now().toSeconds();
-          char line[64];
-          std::snprintf(line, sizeof line, "vehicle-stopped distance=%.3f", vehicle.distanceM());
-          trace(line);
-          record(0, "vehicle-stopped", "vehicle", line + sizeof("vehicle-stopped ") - 1);
-        }
-        return;  // plant settled; no more stepping needed
+    simulator.scheduleAfter(config.plantStep, plantHandler, 0, 0, sim::EventPriority::Observer);
+  }
+
+  /// The plant step (this simulation's only typed event).
+  void onEvent(std::uint32_t, std::uint64_t) override {
+    vehicle.step(config.plantStep.toSeconds());
+    if (vehicle.stopped()) {
+      if (!vehicleStopped) {
+        vehicleStopped = true;
+        stopTimeS = simulator.now().toSeconds();
+        char line[64];
+        std::snprintf(line, sizeof line, "vehicle-stopped distance=%.3f", vehicle.distanceM());
+        trace(line);
+        record(0, "vehicle-stopped", "vehicle", line + sizeof("vehicle-stopped ") - 1);
       }
-      schedulePlantStep();
-    }, sim::EventPriority::Observer);
+      return;  // plant settled; no more stepping needed
+    }
+    schedulePlantStep();
+  }
+
+  /// Schedules one injection closure, never into the settled prefix.
+  void inject(SimTime at, sim::Simulator::Callback fire) {
+    if (at < settledBefore) {
+      throw std::logic_error("BbwSystemSim: injection into the already simulated prefix");
+    }
+    simulator.scheduleAt(at, std::move(fire), sim::EventPriority::FaultInjection);
+  }
+
+  /// See BbwSystemSim::forkable.
+  [[nodiscard]] bool forkable() const {
+    if (traceSink || recorder || simulator.pendingClosures() != 0) return false;
+    for (const Node& n : nodes) {
+      if (!n.cpu->idle()) return false;
+      for (std::uint32_t task = 0; task < n.kernel->taskCount(); ++task) {
+        if (n.kernel->jobActive(rt::TaskId{task})) return false;
+      }
+    }
+    return true;
+  }
+
+  /// Copies every data member of `other` (built from the same config);
+  /// wiring — hooks, taps, sinks, the registry — stays this simulation's.
+  void copyStateFrom(const Impl& other) {
+    simulator.copyStateFrom(other.simulator);
+    bus.copyStateFrom(other.bus);
+    membership.copyStateFrom(other.membership);
+    vehicle.copyStateFrom(other.vehicle);
+    for (std::size_t i = 0; i < nodes.size(); ++i) {
+      Node& n = nodes[i];
+      const Node& source = other.nodes[i];
+      n.cpu->copyStateFrom(*source.cpu);
+      n.kernel->copyStateFrom(*source.kernel);
+      if (n.temExecutor) n.temExecutor->copyStateFrom(*source.temExecutor);
+      if (n.fsExecutor) n.fsExecutor->copyStateFrom(*source.fsExecutor);
+      n.corruptSecondCopy = source.corruptSecondCopy;
+      n.detectedErrorNextCopy = source.detectedErrorNextCopy;
+      n.omitNextResult = source.omitNextResult;
+      n.valueFailureArmed = source.valueFailureArmed;
+      n.valueFailureJob = source.valueFailureJob;
+      n.jobInput = source.jobInput;
+      n.snapshotJob = source.snapshotJob;
+      n.snapshotSeq = source.snapshotSeq;
+    }
+    lastCommandQ8 = other.lastCommandQ8;
+    for (std::size_t w = 0; w < kWheelCount; ++w) {
+      commandArbiter[w].copyStateFrom(other.commandArbiter[w]);
+    }
+    wheelLimitQ8 = other.wheelLimitQ8;
+    commandSampleTime = other.commandSampleTime;
+    lastCommandSeq = other.lastCommandSeq;
+    lastMeasuredSeq = other.lastMeasuredSeq;
+    latency = other.latency;
+    commandFramesDelivered = other.commandFramesDelivered;
+    failSilentEvents = other.failSilentEvents;
+    commandsOmitted = other.commandsOmitted;
+    undetectedValueDeliveries = other.undetectedValueDeliveries;
+    stopTimeS = other.stopTimeS;
+    vehicleStopped = other.vehicleStopped;
+    emergencyPressedAt = other.emergencyPressedAt;
+    emergencyAppliedAt = other.emergencyAppliedAt;
+    emergencyLatched = other.emergencyLatched;
+    // Events at the golden clock itself may be half processed, so the
+    // prefix is settled up to the later of runBefore()'s bound and now+1.
+    settledBefore = std::max(other.settledBefore, other.simulator.now() + Duration::microseconds(1));
   }
 };
+
+namespace {
+
+/// Configs a fork may cross: every field equal; the pedal profile, which
+/// cannot be compared, must be set on both sides or neither, with one type.
+[[nodiscard]] bool sameConfig(const BbwSimConfig& a, const BbwSimConfig& b) {
+  return a.nodeType == b.nodeType && a.initialSpeedMps == b.initialSpeedMps &&
+         a.pedal == b.pedal && static_cast<bool>(a.pedalProfile) == static_cast<bool>(b.pedalProfile) &&
+         a.pedalProfile.target_type() == b.pedalProfile.target_type() &&
+         a.controlPeriod == b.controlPeriod && a.plantStep == b.plantStep &&
+         a.horizon == b.horizon && a.restartTime == b.restartTime && a.vehicle == b.vehicle &&
+         a.centralUnit == b.centralUnit;
+}
+
+}  // namespace
 
 BbwSystemSim::BbwSystemSim(BbwSimConfig config) : impl_{std::make_unique<Impl>(config)} {
   impl_->vehicle.reset(config.initialSpeedMps);
@@ -758,55 +855,43 @@ sim::Simulator& BbwSystemSim::simulator() { return impl_->simulator; }
 const Vehicle& BbwSystemSim::vehicle() const { return impl_->vehicle; }
 
 void BbwSystemSim::injectComputationFault(net::NodeId node, SimTime at) {
-  impl_->simulator.scheduleAt(at,
-                              [this, node] {
-                                impl_->trace("inject computation-fault node=" +
-                                             std::to_string(node));
-                                impl_->record(node, "computation-fault", "inject");
-                                impl_->node(node).corruptSecondCopy = true;
-                              },
-                              sim::EventPriority::FaultInjection);
+  impl_->inject(at, [this, node] {
+    impl_->trace("inject computation-fault node=" + std::to_string(node));
+    impl_->record(node, "computation-fault", "inject");
+    impl_->node(node).corruptSecondCopy = true;
+  });
 }
 
 void BbwSystemSim::injectDetectedError(net::NodeId node, SimTime at) {
-  impl_->simulator.scheduleAt(at,
-                              [this, node] {
-                                impl_->trace("inject detected-error node=" + std::to_string(node));
-                                impl_->record(node, "detected-error", "inject");
-                                impl_->node(node).detectedErrorNextCopy = true;
-                              },
-                              sim::EventPriority::FaultInjection);
+  impl_->inject(at, [this, node] {
+    impl_->trace("inject detected-error node=" + std::to_string(node));
+    impl_->record(node, "detected-error", "inject");
+    impl_->node(node).detectedErrorNextCopy = true;
+  });
 }
 
 void BbwSystemSim::injectOmissionFailure(net::NodeId node, SimTime at) {
-  impl_->simulator.scheduleAt(at,
-                              [this, node] {
-                                impl_->trace("inject omission node=" + std::to_string(node));
-                                impl_->record(node, "omission", "inject");
-                                impl_->node(node).omitNextResult = true;
-                              },
-                              sim::EventPriority::FaultInjection);
+  impl_->inject(at, [this, node] {
+    impl_->trace("inject omission node=" + std::to_string(node));
+    impl_->record(node, "omission", "inject");
+    impl_->node(node).omitNextResult = true;
+  });
 }
 
 void BbwSystemSim::injectValueFailure(net::NodeId node, SimTime at) {
-  impl_->simulator.scheduleAt(at,
-                              [this, node] {
-                                impl_->trace("inject value-failure node=" + std::to_string(node));
-                                impl_->record(node, "value-failure", "inject");
-                                impl_->node(node).valueFailureArmed = true;
-                              },
-                              sim::EventPriority::FaultInjection);
+  impl_->inject(at, [this, node] {
+    impl_->trace("inject value-failure node=" + std::to_string(node));
+    impl_->record(node, "value-failure", "inject");
+    impl_->node(node).valueFailureArmed = true;
+  });
 }
 
 void BbwSystemSim::injectKernelError(net::NodeId node, SimTime at) {
-  impl_->simulator.scheduleAt(at,
-                              [this, node] {
-                                impl_->trace("inject kernel-error node=" + std::to_string(node));
-                                impl_->record(node, "kernel-error", "inject");
-                                impl_->node(node).kernel->reportKernelError(
-                                    {rt::ErrorEvent::Source::HardwareException, 0});
-                              },
-                              sim::EventPriority::FaultInjection);
+  impl_->inject(at, [this, node] {
+    impl_->trace("inject kernel-error node=" + std::to_string(node));
+    impl_->record(node, "kernel-error", "inject");
+    impl_->node(node).kernel->reportKernelError({rt::ErrorEvent::Source::HardwareException, 0});
+  });
 }
 
 void BbwSystemSim::setTraceSink(std::function<void(const std::string&)> sink) {
@@ -821,6 +906,7 @@ void BbwSystemSim::setMetricsRegistry(obs::Registry* registry) {
 
 void BbwSystemSim::setTraceRecorder(obs::TraceRecorder* recorder) {
   impl_->recorder = recorder;
+  for (Impl::Node& n : impl_->nodes) n.cpu->setTraceEnabled(recorder != nullptr);
   impl_->wireTaps();
 }
 
@@ -829,6 +915,9 @@ const net::MembershipService& BbwSystemSim::membership() const { return impl_->m
 net::MembershipService& BbwSystemSim::membership() { return impl_->membership; }
 
 void BbwSystemSim::pressEmergencyBrake(SimTime at) {
+  if (impl_->forked) {
+    throw std::logic_error("BbwSystemSim::pressEmergencyBrake: not available on a fork");
+  }
   impl_->simulator.scheduleAt(at, [this] {
     Impl& impl = *impl_;
     impl.emergencyLatched = true;
@@ -842,24 +931,20 @@ void BbwSystemSim::pressEmergencyBrake(SimTime at) {
 }
 
 void BbwSystemSim::injectBusCorruption(net::NodeId node, SimTime at) {
-  impl_->simulator.scheduleAt(at,
-                              [this, node] {
-                                impl_->trace("inject bus-corruption node=" + std::to_string(node));
-                                impl_->record(node, "bus-corruption", "inject");
-                                impl_->bus.corruptNextFrame(node);
-                              },
-                              sim::EventPriority::FaultInjection);
+  impl_->inject(at, [this, node] {
+    impl_->trace("inject bus-corruption node=" + std::to_string(node));
+    impl_->record(node, "bus-corruption", "inject");
+    impl_->bus.corruptNextFrame(node);
+  });
 }
 
 void BbwSystemSim::injectBusCorruption(net::NodeId node, SimTime at,
                                        std::vector<std::uint32_t> flipBits) {
-  impl_->simulator.scheduleAt(at,
-                              [this, node, flipBits = std::move(flipBits)] {
-                                impl_->trace("inject bus-corruption node=" + std::to_string(node));
-                                impl_->record(node, "bus-corruption", "inject");
-                                impl_->bus.corruptNextFrame(node, flipBits);
-                              },
-                              sim::EventPriority::FaultInjection);
+  impl_->inject(at, [this, node, flipBits = std::move(flipBits)] {
+    impl_->trace("inject bus-corruption node=" + std::to_string(node));
+    impl_->record(node, "bus-corruption", "inject");
+    impl_->bus.corruptNextFrame(node, flipBits);
+  });
 }
 
 BbwSimResult BbwSystemSim::run() {
@@ -906,6 +991,38 @@ BbwSimResult BbwSystemSim::finishSpliced(const BbwSimResult& final, const BbwSys
 void BbwSystemSim::runUntil(SimTime until) {
   impl_->latency.windowMaxUs = 0.0;
   impl_->advanceTo(until);
+}
+
+void BbwSystemSim::runBefore(SimTime instant) {
+  Impl& impl = *impl_;
+  impl.latency.windowMaxUs = 0.0;
+  const SimTime limit = std::min(instant, SimTime::zero() + impl.config.horizon);
+  while (!impl.vehicleStopped && impl.simulator.stepBefore(limit)) {
+  }
+  impl.settledBefore = std::max(impl.settledBefore, limit);
+}
+
+bool BbwSystemSim::forkable() const { return impl_->forkable(); }
+
+void BbwSystemSim::forkFrom(const BbwSystemSim& golden) {
+  Impl& impl = *impl_;
+  const Impl& source = *golden.impl_;
+  if (&impl == &source) throw std::logic_error("BbwSystemSim::forkFrom: cannot fork itself");
+  if (impl.traceSink || impl.recorder || source.traceSink || source.recorder) {
+    throw std::logic_error("BbwSystemSim::forkFrom: trace output cannot be forked");
+  }
+  if (impl.forked || impl.simulator.processedEvents() != 0 ||
+      impl.simulator.pendingClosures() != 0) {
+    throw std::logic_error("BbwSystemSim::forkFrom: the target has run or has injections armed");
+  }
+  if (!sameConfig(impl.config, source.config)) {
+    throw std::logic_error("BbwSystemSim::forkFrom: the configs differ");
+  }
+  if (!source.forkable()) {
+    throw std::logic_error("BbwSystemSim::forkFrom: the golden state is not quiescent");
+  }
+  impl.copyStateFrom(source);
+  impl.forked = true;
 }
 
 BbwSystemCounters BbwSystemSim::counterSnapshot() const { return impl_->counterSnapshot(); }

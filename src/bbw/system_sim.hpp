@@ -177,6 +177,37 @@ class BbwSystemSim {
   BbwSystemSim(const BbwSystemSim&) = delete;
   BbwSystemSim& operator=(const BbwSystemSim&) = delete;
 
+  /// Makes this simulation a FORK of `golden`: copies its entire state —
+  /// the pending DES events (typed records, so no closure is copied), bus,
+  /// membership, kernels, CPUs, executors, arbiters, vehicle and the
+  /// bookkeeping behind results and metrics — so this simulation continues
+  /// exactly as `golden` would from here on. Its wiring (component hooks,
+  /// metrics registry) stays its own; an attached registry receives totals
+  /// that include the golden prefix, exactly as a straight run's. Call on a
+  /// freshly constructed simulation with the same config, before arming
+  /// injections. Throws std::logic_error when this simulation has run or
+  /// has anything armed, when the configs differ, when either side has a
+  /// trace sink or recorder (trace lines cannot be forked, as they cannot
+  /// be spliced), or when `golden` is not forkable().
+  void forkFrom(const BbwSystemSim& golden);
+
+  /// True when the current state can be forked: no trace sink or recorder,
+  /// no pending closure event (injection, restart, emergency press), every
+  /// CPU idle and no job active. A fault-free run is forkable just before
+  /// every control-period boundary (see runBefore()).
+  [[nodiscard]] bool forkable() const;
+
+  /// Processes every event due strictly before `instant` (or until the
+  /// vehicle stops, the events run out or the horizon passes), leaving the
+  /// clock at the last processed event: a quiescent fork point when
+  /// `instant` is a control-period boundary. Like runUntil(), it opens a
+  /// new end-to-end latency window; mixes freely with runUntil() and run().
+  void runBefore(SimTime instant);
+
+  // The inject* hooks below throw std::logic_error when `at` lies in a
+  // prefix whose events are all processed already (before the bound of
+  // runBefore(), or before a fork's capture point).
+
   /// Corrupts the result of one copy of the node's next control job
   /// (a silent data fault: NLFT masks it by comparison+vote; a fail-silent
   /// node delivers the wrong value undetected).
@@ -218,6 +249,9 @@ class BbwSystemSim {
   /// triggering ("fast handling of sporadic activities"). Wheel nodes apply
   /// it the moment it arrives, without waiting for the next periodic
   /// command. Returns nothing; the observed latency is in the result.
+  /// Throws std::logic_error on a forked simulation: the press runs at
+  /// Application priority, where its order among same-instant events
+  /// depends on when it was scheduled, which a fork changes.
   void pressEmergencyBrake(SimTime at);
 
   /// Streams a line-oriented system event trace (fault firings, kernel
@@ -237,7 +271,8 @@ class BbwSystemSim {
   /// Attaches a span/trace recorder (not owned). Every system event that
   /// goes to the trace sink is mirrored as a Chrome instant event (pid =
   /// node id), and at the end of run() each node's CPU execution segments
-  /// are exported as complete spans (one tid per task). Call before run().
+  /// are exported as complete spans (one tid per task; CPUs record their
+  /// segments only while a recorder is attached). Call before run().
   void setTraceRecorder(obs::TraceRecorder* recorder);
 
   /// The membership service (peer views, liveness) for assertions and

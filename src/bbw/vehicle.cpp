@@ -22,6 +22,13 @@ void Vehicle::reset(double speedMps) {
   torque_.fill(0.0);
 }
 
+void Vehicle::copyStateFrom(const Vehicle& other) {
+  speed_ = other.speed_;
+  distance_ = other.distance_;
+  omega_ = other.omega_;
+  torque_ = other.torque_;
+}
+
 void Vehicle::setBrakeTorque(std::size_t wheel, double torqueNm) {
   torque_[wheel] = std::max(0.0, torqueNm);
 }

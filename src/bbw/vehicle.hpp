@@ -30,6 +30,8 @@ struct VehicleParams {
   /// Per-wheel road-friction scale (1.0 = the Burckhardt curve as-is);
   /// lets scenarios model split-mu surfaces, e.g. right wheels on ice.
   std::array<double, 4> frictionScale{1.0, 1.0, 1.0, 1.0};
+
+  friend bool operator==(const VehicleParams&, const VehicleParams&) = default;
 };
 
 /// Longitudinal friction coefficient at a given slip (>= 0).
@@ -45,6 +47,10 @@ class Vehicle {
   /// Sets the brake torque command (N m, >= 0) of one wheel; the value holds
   /// until overwritten (zero-order hold, like a real actuator interface).
   void setBrakeTorque(std::size_t wheel, double torqueNm);
+
+  /// Replaces the kinematic state (speed, distance, wheel speeds, brake
+  /// torques) with `other`'s; the parameters stay this vehicle's own.
+  void copyStateFrom(const Vehicle& other);
 
   /// Advances the dynamics by dt seconds (fixed-step forward Euler; stable
   /// for dt <= ~2 ms with these parameters).

@@ -45,6 +45,17 @@ rt::TaskId FailSilentExecutor::addTask(rt::TaskConfig taskConfig, CopyBehavior b
                          [task](rt::Job& job) { runSingleCopy(*task, job); });
 }
 
+void FailSilentExecutor::copyStateFrom(const FailSilentExecutor& other) {
+  for (const rt::RtKernel* kernel : {&kernel_, &other.kernel_}) {
+    for (std::uint32_t task = 0; task < kernel->taskCount(); ++task) {
+      if (kernel->jobActive(rt::TaskId{task})) {
+        throw std::logic_error("FailSilentExecutor::copyStateFrom: a job is active");
+      }
+    }
+  }
+  failSilentEvents_ = other.failSilentEvents_;
+}
+
 rt::TaskId addNonCriticalTask(rt::RtKernel& kernel, rt::TaskConfig taskConfig,
                               CopyBehavior behavior) {
   if (!behavior) throw std::invalid_argument("addNonCriticalTask: null behavior");

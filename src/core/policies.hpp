@@ -30,6 +30,10 @@ class FailSilentExecutor {
 
   [[nodiscard]] std::uint64_t failSilentEvents() const { return failSilentEvents_; }
 
+  /// Replaces this executor's state (its fail-silent count) with `other`'s.
+  /// Throws std::logic_error while a job is active on either kernel.
+  void copyStateFrom(const FailSilentExecutor& other);
+
  private:
   rt::RtKernel& kernel_;
   std::uint64_t failSilentEvents_ = 0;

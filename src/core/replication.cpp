@@ -12,16 +12,43 @@ DuplexArbiter::DuplexArbiter(Policy policy, Duration compareWindow)
   if (compareWindow <= Duration{}) throw std::invalid_argument("DuplexArbiter: bad window");
 }
 
+void DuplexArbiter::copyStateFrom(const DuplexArbiter& other) {
+  policy_ = other.policy_;
+  window_ = other.window_;
+  pending_ = other.pending_;
+  settledBelow_ = other.settledBelow_;
+  settledTail_ = other.settledTail_;
+  delivered_ = other.delivered_;
+  duplicatesDropped_ = other.duplicatesDropped_;
+  mismatches_ = other.mismatches_;
+  singleSource_ = other.singleSource_;
+}
+
 bool DuplexArbiter::settled(std::uint64_t sequence) const {
-  return std::binary_search(settled_.begin(), settled_.end(), sequence);
+  return sequence < settledBelow_ ||
+         std::binary_search(settledTail_.begin(), settledTail_.end(), sequence);
 }
 
 void DuplexArbiter::settle(std::uint64_t sequence) {
-  if (settled_.empty() || settled_.back() < sequence) {
-    settled_.push_back(sequence);
-  } else if (const auto it = std::lower_bound(settled_.begin(), settled_.end(), sequence);
+  if (sequence < settledBelow_) return;
+  if (sequence == settledBelow_) {
+    // Advance over the tail's leading run of consecutive sequences.
+    std::size_t run = 0;
+    ++settledBelow_;
+    while (run < settledTail_.size() && settledTail_[run] == settledBelow_) {
+      ++run;
+      ++settledBelow_;
+    }
+    settledTail_.erase(settledTail_.begin(),
+                       settledTail_.begin() + static_cast<std::ptrdiff_t>(run));
+    return;
+  }
+  if (settledTail_.empty() || settledTail_.back() < sequence) {
+    settledTail_.push_back(sequence);
+  } else if (const auto it =
+                 std::lower_bound(settledTail_.begin(), settledTail_.end(), sequence);
              *it != sequence) {
-    settled_.insert(it, sequence);
+    settledTail_.insert(it, sequence);
   }
 }
 
@@ -81,7 +108,8 @@ std::uint64_t DuplexArbiter::stateDigest() const {
     digest.u64(pending.payload.size());
     for (const std::uint32_t word : pending.payload) digest.u64(word);
   }
-  for (const std::uint64_t sequence : settled_) digest.u64(sequence);
+  digest.u64(settledBelow_);
+  for (const std::uint64_t sequence : settledTail_) digest.u64(sequence);
   return digest.finish();
 }
 

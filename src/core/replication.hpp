@@ -59,13 +59,18 @@ class DuplexArbiter {
   [[nodiscard]] std::uint64_t mismatches() const { return mismatches_; }
   [[nodiscard]] std::uint64_t singleSourceDeliveries() const { return singleSource_; }
 
+  /// Replaces this arbiter's state (pending copies, settled sequences,
+  /// counters) with `other`'s; the mismatch handler is wiring and stays.
+  void copyStateFrom(const DuplexArbiter& other);
+
   /// Invoked on every CompareAndFlag mismatch (a detected replica error).
   void setMismatchHandler(std::function<void(std::uint64_t sequence)> handler) {
     onMismatch_ = std::move(handler);
   }
 
   /// 64-bit digest of the arbitration state: every pending sequence
-  /// (replica, payload, arrival time) and the SET of settled sequences.
+  /// (replica, payload, arrival time) and the SET of settled sequences, in
+  /// its canonical (watermark, sparse tail) form.
   /// Settle TIMES and the delivery counters are deliberately excluded: they
   /// never feed back into arbitration decisions, and after a masked fault
   /// (e.g. a CU omission bridged by the partner replica) a sequence settles
@@ -86,9 +91,13 @@ class DuplexArbiter {
   Policy policy_;
   Duration window_;
   std::map<std::uint64_t, Pending> pending_;
-  /// Delivered/flagged sequences, sorted ascending (they settle nearly in
-  /// order, so insertion is an append in practice).
-  std::vector<std::uint64_t> settled_;
+  /// Delivered/flagged sequences: every sequence below the watermark, plus
+  /// the sorted sparse tail above it. The form is canonical — the tail
+  /// never holds the watermark itself (settling it advances the watermark
+  /// over the tail's leading run) — so equal sets compare and hash equal,
+  /// and a stream that settles in order keeps an empty tail.
+  std::uint64_t settledBelow_ = 0;
+  std::vector<std::uint64_t> settledTail_;
   std::uint64_t delivered_ = 0;
   std::uint64_t duplicatesDropped_ = 0;
   std::uint64_t mismatches_ = 0;

@@ -34,6 +34,19 @@ const TemStats& TemExecutor::stats(rt::TaskId task) const {
   throw std::invalid_argument("TemExecutor: unknown task");
 }
 
+void TemExecutor::copyStateFrom(const TemExecutor& other) {
+  if (tasks_.size() != other.tasks_.size()) {
+    throw std::logic_error("TemExecutor::copyStateFrom: different task sets");
+  }
+  for (std::size_t i = 0; i < tasks_.size(); ++i) {
+    if (kernel_.jobActive(tasks_[i]->id) || other.kernel_.jobActive(other.tasks_[i]->id)) {
+      throw std::logic_error("TemExecutor::copyStateFrom: a job is active");
+    }
+  }
+  // Per-job fields (job, copies, results, plan) are reset at every release.
+  for (std::size_t i = 0; i < tasks_.size(); ++i) tasks_[i]->stats = other.tasks_[i]->stats;
+}
+
 void TemExecutor::runJob(TaskState& state, rt::Job& job) {
   state.stats.jobs++;
   state.job = &job;

@@ -96,6 +96,12 @@ class TemExecutor {
 
   [[nodiscard]] const TemStats& stats(rt::TaskId task) const;
 
+  /// Replaces this executor's per-task statistics with `other`'s. Copy
+  /// behaviors and the job-error callback are wiring and stay this
+  /// executor's own. Throws std::logic_error when the task sets differ or a
+  /// job is active on either side: the job in flight cannot be copied.
+  void copyStateFrom(const TemExecutor& other);
+
   using JobErrorCallback = std::function<void(rt::TaskId, bool jobHadError)>;
   void setJobErrorCallback(JobErrorCallback callback) { onJobError_ = std::move(callback); }
 

@@ -13,43 +13,47 @@ using bbw::BbwSimConfig;
 using bbw::BbwSystemSim;
 using util::SimTime;
 
-struct ScenarioEntry {
-  const char* name;
-  bbw::NodeType nodeType;
-  /// Arms the scenario's injections on a fresh simulation.
-  void (*arm)(BbwSystemSim&);
-};
-
-SimTime at(double seconds) {
+constexpr SimTime at(double seconds) {
   return SimTime::fromUs(static_cast<std::int64_t>(seconds * 1e6));
 }
+
+struct ScenarioEntry {
+  const char* name;
+  GoldenScenario scenario;
+};
 
 // The catalogue covers every injection family the system campaign samples,
 // each at a fixed instant so traces are reproducible. Scenarios that take a
 // node down run long enough for the mu_R restart to appear in the trace, so
 // a perturbed restart time is caught by the harness.
 constexpr ScenarioEntry kScenarios[] = {
-    {"nlft-computation-fault", bbw::NodeType::Nlft,
-     [](BbwSystemSim& sim) { sim.injectComputationFault(bbw::kWheelNodeBase, at(0.5)); }},
-    {"nlft-omission-value", bbw::NodeType::Nlft,
-     [](BbwSystemSim& sim) {
-       sim.injectOmissionFailure(bbw::kWheelNodeBase + 1, at(0.4));
-       sim.injectValueFailure(bbw::kWheelNodeBase + 2, at(0.8));
-     }},
-    {"fs-kernel-error-restart", bbw::NodeType::FailSilent,
-     [](BbwSystemSim& sim) { sim.injectKernelError(bbw::kWheelNodeBase, at(0.4)); }},
-    {"bus-corruption", bbw::NodeType::Nlft,
-     [](BbwSystemSim& sim) {
-       sim.injectBusCorruption(bbw::kCuA, at(0.5));
-       sim.injectBusCorruption(bbw::kWheelNodeBase + 3, at(0.9), {7, 133, 260});
-     }},
-    {"cu-failover", bbw::NodeType::Nlft,
-     [](BbwSystemSim& sim) { sim.injectKernelError(bbw::kCuA, at(0.5)); }},
-    {"correlated-burst", bbw::NodeType::Nlft,
-     [](BbwSystemSim& sim) {
-       sim.injectKernelError(bbw::kWheelNodeBase, at(0.6));
-       sim.injectKernelError(bbw::kWheelNodeBase + 2, at(0.6));
-     }},
+    {"nlft-computation-fault",
+     {bbw::NodeType::Nlft, at(0.5),
+      [](BbwSystemSim& sim) { sim.injectComputationFault(bbw::kWheelNodeBase, at(0.5)); }}},
+    {"nlft-omission-value",
+     {bbw::NodeType::Nlft, at(0.4),
+      [](BbwSystemSim& sim) {
+        sim.injectOmissionFailure(bbw::kWheelNodeBase + 1, at(0.4));
+        sim.injectValueFailure(bbw::kWheelNodeBase + 2, at(0.8));
+      }}},
+    {"fs-kernel-error-restart",
+     {bbw::NodeType::FailSilent, at(0.4),
+      [](BbwSystemSim& sim) { sim.injectKernelError(bbw::kWheelNodeBase, at(0.4)); }}},
+    {"bus-corruption",
+     {bbw::NodeType::Nlft, at(0.5),
+      [](BbwSystemSim& sim) {
+        sim.injectBusCorruption(bbw::kCuA, at(0.5));
+        sim.injectBusCorruption(bbw::kWheelNodeBase + 3, at(0.9), {7, 133, 260});
+      }}},
+    {"cu-failover",
+     {bbw::NodeType::Nlft, at(0.5),
+      [](BbwSystemSim& sim) { sim.injectKernelError(bbw::kCuA, at(0.5)); }}},
+    {"correlated-burst",
+     {bbw::NodeType::Nlft, at(0.6),
+      [](BbwSystemSim& sim) {
+        sim.injectKernelError(bbw::kWheelNodeBase, at(0.6));
+        sim.injectKernelError(bbw::kWheelNodeBase + 2, at(0.6));
+      }}},
 };
 
 void appendResultSummary(const bbw::BbwSimResult& result, std::vector<std::string>& lines) {
@@ -84,23 +88,27 @@ std::vector<std::string> goldenScenarioNames() {
   return names;
 }
 
+GoldenScenario goldenScenario(const std::string& name) {
+  for (const ScenarioEntry& entry : kScenarios) {
+    if (name == entry.name) return entry.scenario;
+  }
+  throw std::invalid_argument("unknown golden-trace scenario: " + name);
+}
+
 std::vector<std::string> recordScenarioTrace(const std::string& name, const bbw::BbwSimConfig& base,
                                              obs::TraceRecorder* recorder,
                                              obs::Registry* metrics) {
-  for (const ScenarioEntry& entry : kScenarios) {
-    if (name != entry.name) continue;
-    BbwSimConfig config = base;
-    config.nodeType = entry.nodeType;
-    BbwSystemSim sim{config};
-    std::vector<std::string> lines;
-    sim.setTraceSink([&lines](const std::string& line) { lines.push_back(line); });
-    if (recorder != nullptr) sim.setTraceRecorder(recorder);
-    if (metrics != nullptr) sim.setMetricsRegistry(metrics);
-    entry.arm(sim);
-    appendResultSummary(sim.run(), lines);
-    return lines;
-  }
-  throw std::invalid_argument("unknown golden-trace scenario: " + name);
+  const GoldenScenario scenario = goldenScenario(name);
+  BbwSimConfig config = base;
+  config.nodeType = scenario.nodeType;
+  BbwSystemSim sim{config};
+  std::vector<std::string> lines;
+  sim.setTraceSink([&lines](const std::string& line) { lines.push_back(line); });
+  if (recorder != nullptr) sim.setTraceRecorder(recorder);
+  if (metrics != nullptr) sim.setMetricsRegistry(metrics);
+  scenario.arm(sim);
+  appendResultSummary(sim.run(), lines);
+  return lines;
 }
 
 TraceDiff compareTraces(const std::vector<std::string>& expected,

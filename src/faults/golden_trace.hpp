@@ -23,6 +23,17 @@ namespace nlft::fi {
 /// Names of all catalogued scenarios, in a fixed order.
 [[nodiscard]] std::vector<std::string> goldenScenarioNames();
 
+/// One catalogued scenario: its node type, the instant of its first
+/// injection and the hook that arms its injections on a fresh simulation
+/// (for harnesses that run it without a trace sink).
+struct GoldenScenario {
+  bbw::NodeType nodeType = bbw::NodeType::Nlft;
+  util::SimTime firstInjection;
+  void (*arm)(bbw::BbwSystemSim&) = nullptr;
+};
+/// The catalogued scenario `name` (throws std::invalid_argument if unknown).
+[[nodiscard]] GoldenScenario goldenScenario(const std::string& name);
+
 /// Records the event trace of one catalogued scenario (throws
 /// std::invalid_argument for unknown names). The trailing lines summarise
 /// the BbwSimResult so silent counter drift is caught too. `base` carries

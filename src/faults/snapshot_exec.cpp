@@ -1,6 +1,7 @@
 #include "faults/snapshot_exec.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <stdexcept>
 #include <utility>
 
@@ -62,12 +63,19 @@ void MachineBaseline::forkAt(std::uint64_t instructions, hw::Machine& scratch) {
 }
 
 SystemBaseline::SystemBaseline(bbw::BbwSimConfig config)
+    : SystemBaseline(std::move(config), util::SimTime::zero(), util::SimTime::fromUs(-1)) {}
+
+SystemBaseline::SystemBaseline(bbw::BbwSimConfig config, util::SimTime injectEarliest,
+                               util::SimTime injectLatest)
     : config_(std::move(config)), strideUs_(config_.controlPeriod.us()) {
   if (strideUs_ <= 0) throw std::invalid_argument("SystemBaseline: non-positive stride");
+  const std::int64_t forkStrideUs = strideUs_ * kForkPeriods;
+  const std::int64_t firstForkUs = std::max<std::int64_t>(
+      forkStrideUs, injectEarliest.us() - injectEarliest.us() % forkStrideUs);
 
   // One golden simulation does double duty: it records the checkpoint grid
-  // on the way (runUntil composes exactly with a straight run) and then
-  // finalizes the golden result.
+  // and the fork states on the way (runUntil and runBefore compose exactly
+  // with a straight run) and then finalizes the golden result.
   bbw::BbwSystemSim sweep{config_};
   const std::int64_t horizonUs = config_.horizon.us();
   static_assert(bbw::kEndToEndLatencyBuckets <= 256, "the sample log stores buckets as bytes");
@@ -84,24 +92,47 @@ SystemBaseline::SystemBaseline(bbw::BbwSimConfig config)
   };
   bool finished = false;
   for (std::int64_t grid = strideUs_; grid < horizonUs; grid += strideUs_) {
+    // runBefore() opens a latency window of its own: carry its maximum
+    // into the interval's.
+    double capturedMaxUs = 0.0;
+    if (grid >= firstForkUs && grid <= injectLatest.us() && grid % forkStrideUs == 0) {
+      sweep.runBefore(util::SimTime::fromUs(grid));
+      if (sweep.forkable()) {
+        auto state = std::make_unique<bbw::BbwSystemSim>(config_);
+        state->forkFrom(sweep);
+        forkStates_.push_back({grid, std::move(state)});
+      }
+      capturedMaxUs = sweep.endToEndLatency().windowMaxUs;
+    }
     sweep.runUntil(util::SimTime::fromUs(grid));
+    const double intervalMaxUs = std::max(capturedMaxUs, logLatency());
     if (sweep.simulator().now().us() < grid) {
       finished = true;  // vehicle stopped (or events drained) mid-interval
+      finalIntervalMaxUs_ = intervalMaxUs;
       break;
     }
     SystemCheckpoint checkpoint;
     checkpoint.gridUs = grid;
     checkpoint.behavior = sweep.behaviorFingerprint();
     checkpoint.counters = sweep.counterSnapshot();
-    checkpoint.latencyIntervalMaxUs = logLatency();
+    checkpoint.latencyIntervalMaxUs = intervalMaxUs;
     checkpoint.latencySamples = static_cast<std::uint32_t>(latencyBins_.size());
     checkpoints_.push_back(checkpoint);
   }
   // The stretch after the last grid point gets its own latency window.
-  if (!finished) sweep.runUntil(util::SimTime::fromUs(horizonUs));
-  finalIntervalMaxUs_ = logLatency();
+  if (!finished) {
+    sweep.runUntil(util::SimTime::fromUs(horizonUs));
+    finalIntervalMaxUs_ = logLatency();
+  }
   golden_ = sweep.run();
   finalCounters_ = sweep.counterSnapshot();
+}
+
+const bbw::BbwSystemSim* SystemBaseline::forkStateFor(util::SimTime at) const {
+  const auto after = std::partition_point(
+      forkStates_.begin(), forkStates_.end(),
+      [at](const SystemForkState& state) { return state.boundaryUs <= at.us(); });
+  return after == forkStates_.begin() ? nullptr : std::prev(after)->sim.get();
 }
 
 std::optional<bbw::BbwSimResult> SystemBaseline::runToRejoin(bbw::BbwSystemSim& scratch,

@@ -23,6 +23,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -105,6 +106,14 @@ struct SystemCheckpoint {
   double latencyIntervalMaxUs = 0.0;
 };
 
+/// A stored golden state: an immutable fork of the golden simulation with
+/// every event before `boundaryUs` (a control-period boundary) processed
+/// and none at or after it.
+struct SystemForkState {
+  std::int64_t boundaryUs = 0;
+  std::unique_ptr<const bbw::BbwSystemSim> sim;
+};
+
 /// The shared golden timeline of one system campaign: ONE fault-free
 /// `bbw::BbwSystemSim` fast-forwarded checkpoint grid by checkpoint grid,
 /// recording at every point the behavior fingerprint, the monotone counters
@@ -113,9 +122,18 @@ struct SystemCheckpoint {
 /// a pure function of the configuration, so campaign chunks share one
 /// instance read-only across threads.
 ///
-/// Every experiment simulates from t=0 with its injection armed, and
-/// runToRejoin() advances it along the grid and stops simulating once it
-/// has provably rejoined the golden timeline: kRejoinConfirmations
+/// Given the campaign's injection window, the sweep also stores FORK
+/// STATES: just before every kForkPeriods-th control-period boundary from
+/// the last one at or before the window's start through its end — a
+/// quiescent instant: every CPU idle, no job active, only typed events
+/// pending — an immutable bbw::BbwSystemSim fork of the golden run
+/// (BbwSystemSim::runBefore/forkFrom). An experiment injecting at t forks
+/// the last state whose boundary is at or before t (forkStateFor) and
+/// simulates only from there; without a state it simulates from t=0.
+///
+/// Every experiment is then armed, and runToRejoin() advances it along the
+/// grid and stops simulating once it has provably rejoined the golden
+/// timeline: kRejoinConfirmations
 /// consecutive grid points with (a) golden per-interval counter deltas
 /// INCLUDING the processed-event count, (b) the golden behavior
 /// fingerprint, and (c) no armed injection. The rest of the run is then
@@ -128,8 +146,12 @@ struct SystemCheckpoint {
 class SystemBaseline {
  public:
   /// Sweeps the golden run of `config`, checkpointing every control period
-  /// of simulated time.
+  /// of simulated time. Stores no fork states.
   explicit SystemBaseline(bbw::BbwSimConfig config);
+  /// As above, also storing the fork states that cover injections in
+  /// [injectEarliest, injectLatest] (none for an empty window).
+  SystemBaseline(bbw::BbwSimConfig config, util::SimTime injectEarliest,
+                 util::SimTime injectLatest);
 
   [[nodiscard]] const bbw::BbwSimConfig& config() const { return config_; }
   [[nodiscard]] const bbw::BbwSimResult& goldenResult() const { return golden_; }
@@ -139,10 +161,17 @@ class SystemBaseline {
   [[nodiscard]] std::uint64_t sweepEvents() const { return finalCounters_.eventsProcessed; }
   [[nodiscard]] std::int64_t strideUs() const { return strideUs_; }
   [[nodiscard]] const std::vector<SystemCheckpoint>& checkpoints() const { return checkpoints_; }
+  /// The stored fork states, by ascending boundary.
+  [[nodiscard]] const std::vector<SystemForkState>& forkStates() const { return forkStates_; }
+
+  /// The golden state to fork an experiment whose first injection is at
+  /// `at` from: the last stored state with boundary <= at, or null.
+  [[nodiscard]] const bbw::BbwSystemSim* forkStateFor(util::SimTime at) const;
 
   /// Advances the armed scratch sim — freshly built from this baseline's
-  /// config, injections scheduled at `injectedAtUs` or later, not yet
-  /// advanced — along the checkpoint grid and splices the golden tail once
+  /// config, possibly forked from forkStateFor(injectedAt), injections
+  /// scheduled at `injectedAtUs` or later, not yet advanced — along the
+  /// checkpoint grid and splices the golden tail once
   /// the rejoin condition holds (see the class docs). Returns the finalized
   /// result, or nullopt when the run never rejoins — the scratch is then
   /// mid-flight and the caller finishes it with run().
@@ -159,10 +188,16 @@ class SystemBaseline {
   /// and arbitration round has turned over at least once while matching.
   static constexpr unsigned kRejoinConfirmations = 3;
 
+  /// Control periods between fork states: 20 (100 ms at the default 5 ms
+  /// period, 19 states over the default 0.2-2.0 s window) leaves a mean
+  /// residual prefix of 50 ms per experiment at a few tens of KB per state.
+  static constexpr std::int64_t kForkPeriods = 20;
+
  private:
   bbw::BbwSimConfig config_;
   std::int64_t strideUs_ = 0;
   std::vector<SystemCheckpoint> checkpoints_;
+  std::vector<SystemForkState> forkStates_;
   bbw::BbwSimResult golden_;
   bbw::BbwSystemCounters finalCounters_;
   /// The bucket of every golden latency sample, interval by interval (a

@@ -123,6 +123,11 @@ SystemOutcome classifyOutcome(const SystemCampaignConfig& config, const BbwSimRe
   return SystemOutcome::Masked;
 }
 
+/// An injection-window instant, rounded to the microsecond.
+[[nodiscard]] SimTime windowInstant(double seconds) {
+  return SimTime::fromUs(static_cast<std::int64_t>(std::llround(seconds * 1e6)));
+}
+
 BbwSimConfig makeSimConfig(const SystemCampaignConfig& config) {
   BbwSimConfig sim = config.sim;
   sim.nodeType = config.nodeType;
@@ -158,8 +163,7 @@ SystemScenario sampleScenarioImpl(const SystemCampaignConfig& config, util::Rng&
 
   const double windowLoS = stratum != nullptr ? stratum->windowLoS : config.injectEarliestS;
   const double windowHiS = stratum != nullptr ? stratum->windowHiS : config.injectLatestS;
-  scenario.at = SimTime::fromUs(
-      static_cast<std::int64_t>(std::llround(rng.uniform(windowLoS, windowHiS) * 1e6)));
+  scenario.at = windowInstant(rng.uniform(windowLoS, windowHiS));
 
   const auto pickNode = [&rng] {
     return static_cast<net::NodeId>(1 + rng.uniformInt(kNodeCount));
@@ -233,7 +237,7 @@ void armScenario(BbwSystemSim& sim, const SystemScenario& scenario, Injection in
 }
 
 /// Per-campaign execution engine: the golden stop, plus the shared golden
-/// timeline when experiments splice. Immutable after construction; shared
+/// timeline (checkpoints and fork states) when experiments fork and splice. Immutable after construction; shared
 /// read-only across worker threads (and across strata in the stratified
 /// campaign).
 struct SystemEngine {
@@ -246,7 +250,8 @@ SystemEngine makeSystemEngine(const SystemCampaignConfig& config) {
   SystemEngine engine;
   const BbwSimConfig sim = makeSimConfig(config);
   if (config.mode != ExecutionMode::Straight) {
-    engine.baseline = std::make_shared<const SystemBaseline>(sim);
+    engine.baseline = std::make_shared<const SystemBaseline>(
+        sim, windowInstant(config.injectEarliestS), windowInstant(config.injectLatestS));
     engine.golden = engine.baseline->goldenResult();
     engine.goldenEvents = engine.baseline->sweepEvents();
     return engine;
@@ -285,6 +290,16 @@ SystemExperiment runSystemExperimentImpl(const SystemCampaignConfig& config,
 
   BbwSystemSim sim{makeSimConfig(config)};
   if (simMetrics != nullptr) sim.setMetricsRegistry(simMetrics);
+  // Fork path: start from the last stored golden state before the
+  // injection instead of re-simulating the clean prefix from t=0.
+  std::uint64_t forkedEvents = 0;
+  if (baseline != nullptr) {
+    if (const BbwSystemSim* state = baseline->forkStateFor(scenario.at)) {
+      sim.forkFrom(*state);
+      forkedEvents = sim.simulator().processedEvents();
+      if (snap != nullptr) ++snap->resumePoints;
+    }
+  }
   armScenario(sim, scenario, injection);
 
   // Splice path: stop simulating once the faulted run provably rejoins the
@@ -295,7 +310,7 @@ SystemExperiment runSystemExperimentImpl(const SystemCampaignConfig& config,
   if (baseline != nullptr) spliced = baseline->runToRejoin(sim, scenario.at.us());
   if (snap != nullptr) ++(spliced ? snap->replayedCopies : snap->executedCopies);
   experiment.sim = spliced ? std::move(*spliced) : sim.run();
-  if (snap != nullptr) snap->simulatedCycles += sim.counterSnapshot().eventsProcessed;
+  if (snap != nullptr) snap->simulatedCycles += sim.simulator().processedEvents() - forkedEvents;
   experiment.outcome = classifyOutcome(config, golden, experiment.sim);
   return experiment;
 }

@@ -131,9 +131,10 @@ struct SystemCampaignConfig {
   bbw::BbwSimConfig sim{};
 
   /// How experiments execute (docs/SNAPSHOT.md "system campaigns"). Auto
-  /// and Snapshot build one golden timeline per campaign and splice the
-  /// golden tail onto every experiment that provably rejoins it; Straight
-  /// runs every simulation to its end. Statistics and metrics fingerprints
+  /// and Snapshot build one golden timeline per campaign, fork every
+  /// experiment from the last stored golden state before its injection and
+  /// splice the golden tail onto every experiment that provably rejoins it;
+  /// Straight runs every simulation from t=0 to its end. Statistics and metrics fingerprints
   /// are bit-identical across all three.
   ExecutionMode mode = ExecutionMode::Auto;
 
@@ -165,12 +166,14 @@ struct SystemCampaignStats {
   /// golden result copied in, and simulated in NO execution mode — the
   /// "campaign.skipped_masked" metric reconciles against this.
   std::size_t skippedMasked = 0;
-  /// Splice-engine counters: simulatedCycles (DES events, the golden run
-  /// included), replayedCopies (experiments finished by a golden-tail
-  /// splice) and executedCopies (experiments simulated to their end); the
-  /// other fields stay zero. Stats-only by design: they differ between
-  /// execution modes, so folding them into the golden metrics namespace
-  /// would break cross-mode fingerprint equality (they appear in run
+  /// Fork and splice engine counters: simulatedCycles (DES events
+  /// simulated after each experiment's fork, the golden run included),
+  /// resumePoints (experiments forked from a stored golden state),
+  /// replayedCopies (experiments finished by a golden-tail splice) and
+  /// executedCopies (experiments simulated to their end); the other fields
+  /// stay zero. Stats-only by design: they differ between execution modes,
+  /// so folding them into the golden metrics namespace would break
+  /// cross-mode fingerprint equality (all but resumePoints appear in run
   /// reports under "wall.snap.sys.*" instead).
   SnapCounters snap;
 

@@ -11,13 +11,11 @@
 
 namespace nlft::fuzz {
 
-namespace {
-
 using bbw::BbwSimConfig;
 using bbw::BbwSimResult;
 using bbw::BbwSystemSim;
 
-[[nodiscard]] BbwSimConfig simConfigFor(const ScenarioParams& params, std::int64_t horizonUs) {
+BbwSimConfig simConfigFor(const ScenarioParams& params, std::int64_t horizonUs) {
   BbwSimConfig config;
   config.nodeType = params.nodeType;
   config.initialSpeedMps = params.initialSpeedMps;
@@ -40,6 +38,8 @@ void applyEvent(BbwSystemSim& sim, const ScheduleEvent& event) {
       break;
   }
 }
+
+namespace {
 
 [[nodiscard]] BbwSimResult runScenarioSim(const ScenarioParams& params,
                                           const std::vector<ScheduleEvent>& events,

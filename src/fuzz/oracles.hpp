@@ -63,6 +63,12 @@ struct OracleConfig {
   std::int64_t horizonUs = 15'000'000;
 };
 
+/// The simulation config of a scenario's deployment parameters.
+[[nodiscard]] bbw::BbwSimConfig simConfigFor(const ScenarioParams& params,
+                                             std::int64_t horizonUs);
+/// Arms one schedule event through the matching BbwSystemSim hook.
+void applyEvent(bbw::BbwSystemSim& sim, const ScheduleEvent& event);
+
 /// Resolves the 0-defaults of `config` against the registered verifier
 /// configurations (computed once, cached).
 [[nodiscard]] OracleConfig resolveOracleConfig(OracleConfig config);

@@ -34,6 +34,39 @@ TdmaBus::TdmaBus(sim::Simulator& simulator, TdmaConfig config)
     : simulator_{simulator}, config_{std::move(config)} {
   if (config_.staticSchedule.empty()) throw std::invalid_argument("TdmaBus: empty schedule");
   if (config_.slotLength <= Duration{}) throw std::invalid_argument("TdmaBus: bad slot length");
+  handler_ = simulator_.addHandler(*this);
+}
+
+void TdmaBus::copyStateFrom(const TdmaBus& other) {
+  staticQueues_ = other.staticQueues_;
+  pendingDynamic_ = other.pendingDynamic_;
+  inFlight_ = other.inFlight_;
+  inFlightHead_ = other.inFlightHead_;
+  silent_ = other.silent_;
+  corruptNext_ = other.corruptNext_;
+  babbling_ = other.babbling_;
+  guardian_ = other.guardian_;
+  cycles_ = other.cycles_;
+  delivered_ = other.delivered_;
+  dropped_ = other.dropped_;
+  corruptionsInjected_ = other.corruptionsInjected_;
+  crcRejected_ = other.crcRejected_;
+  babbleCollisions_ = other.babbleCollisions_;
+  babbleBlocked_ = other.babbleBlocked_;
+  started_ = other.started_;
+}
+
+void TdmaBus::onEvent(std::uint32_t kind, std::uint64_t arg) {
+  switch (kind) {
+    case kStaticSlot: runStaticSlot(static_cast<std::uint32_t>(arg)); break;
+    case kDynamicSegment: runDynamicSegment(); break;
+    case kMinislot: deliverNextDynamic(); break;
+    case kCycleEnd:
+      ++cycles_;
+      scheduleNextCycle();
+      break;
+    default: throw std::logic_error("TdmaBus: unknown event kind");
+  }
 }
 
 Duration TdmaBus::cycleLength() const {
@@ -155,8 +188,7 @@ void TdmaBus::scheduleNextCycle() {
   const SimTime cycleStart = simulator_.now();
   for (std::uint32_t slot = 0; slot < config_.staticSchedule.size(); ++slot) {
     const SimTime slotEnd = cycleStart + config_.slotLength * static_cast<std::int64_t>(slot + 1);
-    simulator_.scheduleAt(slotEnd, [this, slot] { runStaticSlot(slot); },
-                          sim::EventPriority::Network);
+    simulator_.scheduleAt(slotEnd, handler_, kStaticSlot, slot, sim::EventPriority::Network);
   }
   const SimTime staticEnd =
       cycleStart + config_.slotLength * static_cast<std::int64_t>(config_.staticSchedule.size());
@@ -164,15 +196,9 @@ void TdmaBus::scheduleNextCycle() {
   if (config_.dynamicMinislots > 0) {
     // Arbitration happens when the static segment closes; each winning frame
     // is delivered at the end of its minislot.
-    simulator_.scheduleAt(staticEnd, [this] { runDynamicSegment(); },
-                          sim::EventPriority::Network);
+    simulator_.scheduleAt(staticEnd, handler_, kDynamicSegment, 0, sim::EventPriority::Network);
   }
-  simulator_.scheduleAt(cycleEnd,
-                        [this] {
-                          ++cycles_;
-                          scheduleNextCycle();
-                        },
-                        sim::EventPriority::Observer);
+  simulator_.scheduleAt(cycleEnd, handler_, kCycleEnd, 0, sim::EventPriority::Observer);
 }
 
 void TdmaBus::runStaticSlot(std::uint32_t slot) {
@@ -234,8 +260,8 @@ void TdmaBus::runDynamicSegment() {
     ++used;
     std::vector<std::uint32_t> flipBits = takeCorruption(frame.sender);
     inFlight_.push_back(InFlight{std::move(frame), std::move(flipBits)});
-    simulator_.scheduleAfter(config_.minislotLength * static_cast<std::int64_t>(used),
-                             [this] { deliverNextDynamic(); }, sim::EventPriority::Network);
+    simulator_.scheduleAfter(config_.minislotLength * static_cast<std::int64_t>(used), handler_,
+                             kMinislot, 0, sim::EventPriority::Network);
   }
   pendingDynamic_.erase(pendingDynamic_.begin() + static_cast<std::ptrdiff_t>(kept),
                         pendingDynamic_.end());
@@ -255,17 +281,18 @@ void TdmaBus::deliver(Frame& frame, std::span<const std::uint32_t> flipBits) {
   // strikes the frame in transit (after the CRC is computed, as on a real
   // bus). Every receiver recomputes the CRC and drops the frame on mismatch
   // — and since all receivers see the same bits, they drop it consistently
-  // (the atomic broadcast property of TDMA buses).
+  // (the atomic broadcast property of TDMA buses). An untouched frame
+  // passes the check by construction, so only a corrupted one recomputes.
   frame.crc = frameCrc(frame.payload);
   if (!flipBits.empty()) {
     ++corruptionsInjected_;
     for (const std::uint32_t bit : flipBits) flipFrameBit(frame, bit);
-  }
-  if (frameCrc(frame.payload) != frame.crc) {
-    ++dropped_;
-    ++crcRejected_;
-    if (dropTap_) dropTap_(frame, "crc");
-    return;
+    if (frameCrc(frame.payload) != frame.crc) {
+      ++dropped_;
+      ++crcRejected_;
+      if (dropTap_) dropTap_(frame, "crc");
+      return;
+    }
   }
   ++delivered_;
   for (const Attached& attached : attached_) {

@@ -57,11 +57,22 @@ struct TdmaConfig {
   Duration minislotLength = Duration::microseconds(100);
 };
 
-class TdmaBus {
+class TdmaBus : private sim::EventHandler {
  public:
   using ReceiveFn = std::function<void(const Frame&)>;
 
+  /// Registers the bus as a typed-event handler of `simulator`: slot,
+  /// segment, minislot and cycle-end events are typed records, so the bus
+  /// state is copyable (copyStateFrom).
   TdmaBus(sim::Simulator& simulator, TdmaConfig config);
+  TdmaBus(const TdmaBus&) = delete;
+  TdmaBus& operator=(const TdmaBus&) = delete;
+
+  /// Replaces this bus's state (queued frames, silenced nodes, armed
+  /// faults, counters) with `other`'s. Receivers, the drop tap and the
+  /// configuration are wiring and stay this bus's own; pair with
+  /// sim::Simulator::copyStateFrom, which copies the pending bus events.
+  void copyStateFrom(const TdmaBus& other);
 
   /// Registers a receiver; every delivered frame (except the node's own) is
   /// passed to `receive`.
@@ -161,6 +172,9 @@ class TdmaBus {
     std::vector<std::uint32_t> flipBits;
   };
 
+  enum EventKind : std::uint32_t { kStaticSlot, kDynamicSegment, kMinislot, kCycleEnd };
+  void onEvent(std::uint32_t kind, std::uint64_t arg) override;
+
   void runStaticSlot(std::uint32_t slot);
   void runDynamicSegment();
   /// Delivers the oldest in-flight dynamic frame (minislot deliveries fire
@@ -176,6 +190,7 @@ class TdmaBus {
 
   sim::Simulator& simulator_;
   TdmaConfig config_;
+  std::uint32_t handler_ = 0;
   std::vector<Attached> attached_;
   std::vector<StaticQueue> staticQueues_;  ///< sorted by node
   std::vector<Frame> pendingDynamic_;

@@ -15,6 +15,12 @@ MembershipService::MembershipService(sim::Simulator& simulator, TdmaBus& bus,
     : simulator_{simulator}, bus_{bus}, config_{config} {
   if (config_.reintegrationCycles == 0)
     throw std::invalid_argument("MembershipService: reintegrationCycles must be >= 1");
+  handler_ = simulator_.addHandler(*this);
+}
+
+void MembershipService::copyStateFrom(const MembershipService& other) {
+  nodes_ = other.nodes_;
+  started_ = other.started_;
 }
 
 void MembershipService::addNode(NodeId node, bool alive) {
@@ -85,16 +91,12 @@ void MembershipService::start() {
   // tick. The tick runs at Application priority, i.e. before the bus's own
   // cycle-advance event at the same instant, so cyclesCompleted() still
   // names the cycle that just ended.
-  const Duration cycle = bus_.cycleLength();
-  struct Ticker {
-    MembershipService* service;
-    Duration cycle;
-    void operator()() const {
-      service->onCycle();
-      service->simulator_.scheduleAfter(cycle, *this, sim::EventPriority::Application);
-    }
-  };
-  simulator_.scheduleAfter(cycle, Ticker{this, cycle}, sim::EventPriority::Application);
+  simulator_.scheduleAfter(bus_.cycleLength(), handler_, 0, 0, sim::EventPriority::Application);
+}
+
+void MembershipService::onEvent(std::uint32_t, std::uint64_t) {
+  onCycle();
+  simulator_.scheduleAfter(bus_.cycleLength(), handler_, 0, 0, sim::EventPriority::Application);
 }
 
 std::uint64_t MembershipService::stateDigest() const {

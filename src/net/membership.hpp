@@ -30,9 +30,18 @@ struct MembershipConfig {
 /// Heartbeat payloads use one reserved word prepended to application data in
 /// the node's slot; this service owns the slot traffic of its nodes (it
 /// forwards any application payload given via queueAppData).
-class MembershipService {
+class MembershipService : private sim::EventHandler {
  public:
+  /// Registers the service as a typed-event handler of `simulator` (its
+  /// cycle tick is a typed record, so the service state is copyable).
   MembershipService(sim::Simulator& simulator, TdmaBus& bus, MembershipConfig config = {});
+  MembershipService(const MembershipService&) = delete;
+  MembershipService& operator=(const MembershipService&) = delete;
+
+  /// Replaces this service's protocol state (liveness, queued application
+  /// data, every peer view) with `other`'s. The application receive hook,
+  /// the membership tap and the bus are wiring and stay this service's own.
+  void copyStateFrom(const MembershipService& other);
 
   /// Registers a node; `alive` nodes heartbeat from the next cycle on.
   void addNode(NodeId node, bool alive = true);
@@ -88,12 +97,15 @@ class MembershipService {
     std::map<NodeId, PeerState> peers;
   };
 
+  /// The cycle tick (the service's only typed event).
+  void onEvent(std::uint32_t kind, std::uint64_t arg) override;
   void onCycle();
   void onFrame(NodeId receiver, const Frame& frame);
 
   sim::Simulator& simulator_;
   TdmaBus& bus_;
   MembershipConfig config_;
+  std::uint32_t handler_ = 0;
   std::map<NodeId, NodeState> nodes_;
   AppReceiveFn appReceive_;
   MembershipTap membershipTap_;

@@ -11,6 +11,20 @@ Cpu::Cpu(sim::Simulator& simulator, Duration contextSwitchOverhead)
     throw std::invalid_argument("Cpu: negative context-switch overhead");
 }
 
+void Cpu::copyStateFrom(const Cpu& other) {
+  if (running_ || !ready_.empty() || other.running_ || !other.ready_.empty()) {
+    throw std::logic_error("Cpu::copyStateFrom: a work item is pending");
+  }
+  nextId_ = other.nextId_;
+  nextSeq_ = other.nextSeq_;
+  busy_ = other.busy_;
+  preemptions_ = other.preemptions_;
+  dispatches_ = other.dispatches_;
+  // Label indices are private to each CPU; only the label dispatched last
+  // matters to an idle CPU (it decides the next context-switch charge).
+  lastDispatchedLabel_ = intern(other.labels_[other.lastDispatchedLabel_]);
+}
+
 std::uint32_t Cpu::intern(std::string_view label) {
   const auto it = std::find(labels_.begin(), labels_.end(), label);
   if (it != labels_.end()) return static_cast<std::uint32_t>(it - labels_.begin());
@@ -97,7 +111,9 @@ void Cpu::preemptRunning() {
 void Cpu::closeSegment() {
   const SimTime now = simulator_.now();
   if (now > running_->segmentStart) {
-    trace_.push_back({labels_[running_->item.label], running_->segmentStart, now});
+    if (traceEnabled_) {
+      trace_.push_back({labels_[running_->item.label], running_->segmentStart, now});
+    }
     busy_ += now - running_->segmentStart;
   }
 }

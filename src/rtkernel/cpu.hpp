@@ -4,7 +4,8 @@
 // Work items occupy the (single) CPU for a given duration; a higher-priority
 // item preempts the running one, which resumes later with its remaining
 // time. The execution trace records every contiguous segment, which the
-// tests use to assert exact Gantt charts.
+// tests use to assert exact Gantt charts (recording can be switched off for
+// users that never read it).
 #pragma once
 
 #include <cstdint>
@@ -60,6 +61,17 @@ class Cpu {
   /// Label of the running item, or empty when idle.
   [[nodiscard]] std::string runningLabel() const;
 
+  /// Replaces this CPU's scheduling state (id and sequence counters, busy
+  /// time, dispatch statistics, the label dispatched last) with `other`'s.
+  /// The segment trace is not copied. Throws std::logic_error when either
+  /// CPU is busy or has work queued: a work item's completion closure
+  /// cannot be copied.
+  void copyStateFrom(const Cpu& other);
+
+  /// Segment recording (on by default). Off, trace() stays empty and the
+  /// CPU keeps no per-segment history.
+  void setTraceEnabled(bool enabled) { traceEnabled_ = enabled; }
+
   [[nodiscard]] const std::vector<ExecutionSegment>& trace() const { return trace_; }
   /// Total CPU busy time accumulated so far.
   [[nodiscard]] Duration busyTime() const { return busy_; }
@@ -94,6 +106,7 @@ class Cpu {
   std::vector<Item> ready_;
   std::optional<Running> running_;
   std::vector<ExecutionSegment> trace_;
+  bool traceEnabled_ = true;
   Duration busy_{};
   std::uint64_t preemptions_ = 0;
   std::uint64_t dispatches_ = 0;

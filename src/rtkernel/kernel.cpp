@@ -81,7 +81,51 @@ void Job::finish() {
 
 // --- RtKernel ---
 
-RtKernel::RtKernel(sim::Simulator& simulator, Cpu& cpu) : simulator_{simulator}, cpu_{cpu} {}
+RtKernel::RtKernel(sim::Simulator& simulator, Cpu& cpu)
+    : simulator_{simulator}, cpu_{cpu}, handler_{simulator.addHandler(*this)} {}
+
+void RtKernel::copyStateFrom(const RtKernel& other) {
+  if (tasks_.size() != other.tasks_.size()) {
+    throw std::logic_error("RtKernel::copyStateFrom: different task sets");
+  }
+  for (std::size_t i = 0; i < tasks_.size(); ++i) {
+    if (tasks_[i].activeJob || other.tasks_[i].activeJob) {
+      throw std::logic_error("RtKernel::copyStateFrom: a job is active");
+    }
+  }
+  for (std::size_t i = 0; i < tasks_.size(); ++i) {
+    TaskEntry& task = tasks_[i];
+    const TaskEntry& source = other.tasks_[i];
+    task.stats = source.stats;
+    task.nextJobIndex = source.nextJobIndex;
+    task.nextRelease = source.nextRelease;
+    task.disabled = source.disabled;
+  }
+  stopped_ = other.stopped_;
+  kernelErrors_ = other.kernelErrors_;
+  // A pending clean-up event is copied with the simulator; retired jobs
+  // are only recycled storage, so the copy starts with its own.
+  retireCleanupScheduled_ = other.retireCleanupScheduled_;
+}
+
+void RtKernel::onEvent(std::uint32_t kind, std::uint64_t arg) {
+  switch (kind) {
+    case kRelease: release(static_cast<std::uint32_t>(arg)); break;
+    case kRetireCleanup:
+      retireCleanupScheduled_ = false;
+      for (std::unique_ptr<Job>& retired : retired_) {
+        // Drop the finished job's closures now, as destruction would.
+        retired->copyStop_ = nullptr;
+        retired->errorHandler_ = nullptr;
+        retired->abortHandler_ = nullptr;
+        const std::uint32_t task = retired->task_.value;
+        tasks_[task].spareJobs.push_back(std::move(retired));
+      }
+      retired_.clear();
+      break;
+    default: throw std::logic_error("RtKernel: unknown event kind");
+  }
+}
 
 TaskId RtKernel::addTask(TaskConfig config, JobHandler handler) {
   if (config.wcet < Duration{}) throw std::invalid_argument("RtKernel: negative wcet");
@@ -151,24 +195,14 @@ void RtKernel::retire(std::unique_ptr<Job> job) {
   retired_.push_back(std::move(job));
   if (!retireCleanupScheduled_) {
     retireCleanupScheduled_ = true;
-    simulator_.scheduleAfter(Duration{}, [this] {
-      retireCleanupScheduled_ = false;
-      for (std::unique_ptr<Job>& retired : retired_) {
-        // Drop the finished job's closures now, as destruction would.
-        retired->copyStop_ = nullptr;
-        retired->errorHandler_ = nullptr;
-        retired->abortHandler_ = nullptr;
-        const std::uint32_t task = retired->task_.value;
-        tasks_[task].spareJobs.push_back(std::move(retired));
-      }
-      retired_.clear();
-    }, sim::EventPriority::Observer);
+    simulator_.scheduleAfter(Duration{}, handler_, kRetireCleanup, 0,
+                             sim::EventPriority::Observer);
   }
 }
 
 void RtKernel::scheduleNextRelease(std::uint32_t taskIndex, SimTime at) {
-  tasks_[taskIndex].nextRelease = simulator_.scheduleAt(
-      at, [this, taskIndex] { release(taskIndex); }, sim::EventPriority::Kernel);
+  tasks_[taskIndex].nextRelease =
+      simulator_.scheduleAt(at, handler_, kRelease, taskIndex, sim::EventPriority::Kernel);
 }
 
 void RtKernel::release(std::uint32_t taskIndex) {

@@ -136,14 +136,24 @@ class Job {
   bool finished_ = false;
 };
 
-class RtKernel {
+class RtKernel : private sim::EventHandler {
  public:
   using JobHandler = std::function<void(Job&)>;
   using ResultSink = std::function<void(const JobResult&)>;
 
+  /// Registers the kernel as a typed-event handler of `simulator`: periodic
+  /// releases and the retire clean-up are typed records.
   RtKernel(sim::Simulator& simulator, Cpu& cpu);
   RtKernel(const RtKernel&) = delete;
   RtKernel& operator=(const RtKernel&) = delete;
+
+  /// Replaces this kernel's state (per-task statistics, job counters,
+  /// pending releases, disabled flags, liveness, error count) with
+  /// `other`'s. Task handlers, sinks, taps, hooks and the watchdog are
+  /// wiring and stay this kernel's own. Throws std::logic_error when the
+  /// task sets differ or either kernel has an active job: a job's closures
+  /// cannot be copied.
+  void copyStateFrom(const RtKernel& other);
 
   /// Registers a task; `handler` is invoked at every job release.
   TaskId addTask(TaskConfig config, JobHandler handler);
@@ -214,6 +224,9 @@ class RtKernel {
     bool disabled = false;
   };
 
+  enum EventKind : std::uint32_t { kRelease, kRetireCleanup };
+  void onEvent(std::uint32_t kind, std::uint64_t arg) override;
+
   void release(std::uint32_t taskIndex);
   /// The deadline monitor of one job; `index` guards against a recycled Job.
   void onDeadline(Job* job, std::uint64_t index);
@@ -229,6 +242,7 @@ class RtKernel {
 
   sim::Simulator& simulator_;
   Cpu& cpu_;
+  std::uint32_t handler_ = 0;
   std::vector<TaskEntry> tasks_;
   ResultSink resultSink_;
   EventTap eventTap_;

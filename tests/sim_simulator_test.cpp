@@ -308,5 +308,104 @@ TEST(Simulator, RandomizedDifferentialAgainstSortedVector) {
   EXPECT_GT(simulator.cancelledEvents(), 1'000u);
 }
 
+using TypedLog = std::vector<std::tuple<int, std::uint32_t, std::uint64_t, std::int64_t>>;
+
+/// Logs every typed event it receives, tagged with its own identity.
+struct LoggingHandler final : EventHandler {
+  LoggingHandler(int tag = 0, TypedLog* log = nullptr, Simulator* simulator = nullptr)
+      : tag{tag}, log{log}, simulator{simulator} {}
+  void onEvent(std::uint32_t kind, std::uint64_t arg) override {
+    log->emplace_back(tag, kind, arg, simulator->now().us());
+  }
+  int tag;
+  TypedLog* log;
+  Simulator* simulator;
+};
+
+TEST(Simulator, TypedRecordsDispatchToTheCopysHandlers) {
+  TypedLog log;
+  Simulator original;
+  LoggingHandler first{1, &log, &original};
+  const std::uint32_t index = original.addHandler(first);
+  original.scheduleAt(SimTime::fromUs(10), index, 7, 70, EventPriority::Kernel);
+  original.scheduleAt(SimTime::fromUs(30), index, 8, 80, EventPriority::Network);
+  original.scheduleAt(SimTime::fromUs(20), index, 9, 90, EventPriority::Kernel);
+  ASSERT_TRUE(original.step());  // t=10 fires on the original
+
+  Simulator copy;
+  LoggingHandler second{2, &log, &copy};
+  ASSERT_EQ(copy.addHandler(second), index);
+  copy.copyStateFrom(original);
+  EXPECT_EQ(copy.now(), SimTime::fromUs(10));
+  EXPECT_EQ(copy.pendingEvents(), 2u);
+  EXPECT_EQ(copy.processedEvents(), 1u);
+  // Insertion order continues from the source: a tie scheduled on the copy
+  // runs after the copied event at the same instant and priority.
+  copy.scheduleAt(SimTime::fromUs(20), index, 10, 100, EventPriority::Kernel);
+  copy.runAll();
+  EXPECT_EQ(log, (TypedLog{{1, 7, 70, 10}, {2, 9, 90, 20}, {2, 10, 100, 20}, {2, 8, 80, 30}}));
+  // The source is untouched and still runs its own events.
+  original.runAll();
+  EXPECT_EQ(log.size(), 6u);
+  EXPECT_EQ(std::get<0>(log.back()), 1);
+}
+
+TEST(Simulator, EventIdsStayCancellableAfterACopy) {
+  TypedLog log;
+  Simulator original;
+  LoggingHandler first{1, &log, &original};
+  const std::uint32_t index = original.addHandler(first);
+  const EventId keep = original.scheduleAt(SimTime::fromUs(5), index, 1, 0, EventPriority::Kernel);
+  const EventId drop = original.scheduleAt(SimTime::fromUs(6), index, 2, 0, EventPriority::Kernel);
+  const EventId fired =
+      original.scheduleAt(SimTime::fromUs(1), index, 3, 0, EventPriority::Kernel);
+  ASSERT_TRUE(original.step());
+
+  Simulator copy;
+  LoggingHandler second{2, &log, &copy};
+  copy.addHandler(second);
+  copy.copyStateFrom(original);
+  EXPECT_FALSE(copy.cancel(fired));  // already fired before the copy
+  EXPECT_TRUE(copy.cancel(drop));
+  EXPECT_FALSE(copy.cancel(drop));
+  EXPECT_EQ(copy.cancelledEvents(), 1u);
+  copy.runAll();
+  ASSERT_EQ(log.size(), 2u);
+  EXPECT_EQ(std::get<1>(log.back()), 1u);
+  // Cancelling in the copy does not touch the source.
+  EXPECT_TRUE(original.cancel(keep));
+  EXPECT_EQ(original.pendingEvents(), 1u);
+}
+
+TEST(Simulator, CopyWithALiveClosureThrows) {
+  Simulator original;
+  LoggingHandler first;
+  original.addHandler(first);
+  const EventId closure = original.scheduleAfter(Duration::microseconds(3), [] {});
+  EXPECT_EQ(original.pendingClosures(), 1u);
+  Simulator copy;
+  LoggingHandler second;
+  copy.addHandler(second);
+  EXPECT_THROW(copy.copyStateFrom(original), std::logic_error);
+  // Once the closure is gone (cancelled here), the state copies.
+  ASSERT_TRUE(original.cancel(closure));
+  EXPECT_EQ(original.pendingClosures(), 0u);
+  EXPECT_NO_THROW(copy.copyStateFrom(original));
+  // Handler sets must match: the records name handlers by index.
+  Simulator bare;
+  EXPECT_THROW(bare.copyStateFrom(original), std::logic_error);
+}
+
+TEST(Simulator, StepBeforeRunsOnlyEventsStrictlyBeforeTheLimit) {
+  Simulator simulator;
+  std::vector<int> order;
+  simulator.scheduleAt(SimTime::fromUs(100), [&] { order.push_back(1); });
+  simulator.scheduleAt(SimTime::fromUs(200), [&] { order.push_back(2); });
+  while (simulator.stepBefore(SimTime::fromUs(200))) {
+  }
+  EXPECT_EQ(order, (std::vector<int>{1}));
+  EXPECT_EQ(simulator.now(), SimTime::fromUs(100));  // the clock stays at the last event
+}
+
 }  // namespace
 }  // namespace nlft::sim

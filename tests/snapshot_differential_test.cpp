@@ -23,6 +23,7 @@
 #include "faults/campaign.hpp"
 #include "faults/snapshot_exec.hpp"
 #include "fuzz/corpus.hpp"
+#include "fuzz/oracles.hpp"
 #include "obs/metrics.hpp"
 #include "snap/cache.hpp"
 #include "util/rng.hpp"
@@ -44,36 +45,16 @@ std::vector<std::int64_t> seededSplitPoints(std::uint64_t seed) {
   return splits;
 }
 
-BbwSimConfig configFor(const fuzz::ScenarioParams& params) {
-  BbwSimConfig config;
-  config.nodeType = params.nodeType;
-  config.initialSpeedMps = params.initialSpeedMps;
-  config.pedal = params.pedal;
-  config.restartTime = util::Duration::microseconds(params.restartTimeUs);
-  return config;
-}
-
 void applyEvents(BbwSystemSim& sim, const std::vector<fuzz::ScheduleEvent>& events) {
-  for (const fuzz::ScheduleEvent& event : events) {
-    const util::SimTime at = util::SimTime::fromUs(event.atUs);
-    switch (event.kind) {
-      case fuzz::EventKind::ComputationFault: sim.injectComputationFault(event.node, at); break;
-      case fuzz::EventKind::DetectedError: sim.injectDetectedError(event.node, at); break;
-      case fuzz::EventKind::KernelError: sim.injectKernelError(event.node, at); break;
-      case fuzz::EventKind::OmissionFailure: sim.injectOmissionFailure(event.node, at); break;
-      case fuzz::EventKind::ValueFailure: sim.injectValueFailure(event.node, at); break;
-      case fuzz::EventKind::BusCorruption:
-        sim.injectBusCorruption(event.node, at, event.flipBits);
-        break;
-    }
-  }
+  for (const fuzz::ScheduleEvent& event : events) fuzz::applyEvent(sim, event);
 }
 
 TEST(SnapshotDifferential, EveryCorpusCaseIsSplitInvariant) {
   const std::vector<fuzz::CorpusEntry> corpus = fuzz::loadCorpusDir(NLFT_FUZZ_CORPUS_DIR);
   ASSERT_GE(corpus.size(), 6u);
   for (const fuzz::CorpusEntry& entry : corpus) {
-    const BbwSimConfig config = configFor(entry.scenario.params);
+    const BbwSimConfig config =
+        fuzz::simConfigFor(entry.scenario.params, fuzz::OracleConfig{}.horizonUs);
 
     obs::Registry straightMetrics;
     BbwSystemSim straight{config};
