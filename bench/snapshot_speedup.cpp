@@ -8,9 +8,10 @@
 // fast-forwarded baseline at the injection instant (docs/SNAPSHOT.md). The
 // acceptance floor is a >=3x reduction in simulated cycles per TEM campaign
 // sample, aggregated over the guest programs. Outcome statistics must be
-// bit-identical between the two modes and across thread counts {1, 2, 8} —
-// this bench fails (exit 1) on any divergence, making it a differential
-// test as much as a benchmark.
+// bit-identical between the two modes and across thread counts {1, 2, 8},
+// and every guest program must actually fork (Auto mode would fall back to
+// straight execution silently) — this bench fails (exit 1) otherwise,
+// making it a differential test as much as a benchmark.
 //
 // Results append to BENCH_snapshot_speedup.json. `--smoke` shrinks budgets
 // for CI.
@@ -65,6 +66,7 @@ int main(int argc, char** argv) {
 
   const std::size_t experiments = smoke ? 2000 : 20000;
   bool equivalent = true;
+  bool forked = true;
   std::uint64_t straightTemCycles = 0;
   std::uint64_t snapshotTemCycles = 0;
   std::uint64_t straightFsCycles = 0;
@@ -98,7 +100,7 @@ int main(int argc, char** argv) {
     const fi::TemCampaignStats straight = fi::runTemCampaign(image, config);
     const double straightSeconds = straightClock.elapsedSeconds();
 
-    config.mode = fi::ExecutionMode::Snapshot;
+    config.mode = fi::ExecutionMode::Auto;
     const util::MonotonicStopwatch snapClock;
     const fi::TemCampaignStats snapshot = fi::runTemCampaign(image, config);
     const double snapshotSeconds = snapClock.elapsedSeconds();
@@ -117,11 +119,13 @@ int main(int argc, char** argv) {
     fi::CampaignConfig fsConfig = config;
     fsConfig.mode = fi::ExecutionMode::Straight;
     const fi::FsCampaignStats fsStraight = fi::runFsCampaign(image, fsConfig);
-    fsConfig.mode = fi::ExecutionMode::Snapshot;
+    fsConfig.mode = fi::ExecutionMode::Auto;
     const fi::FsCampaignStats fsSnapshot = fi::runFsCampaign(image, fsConfig);
     identical = identical && fsOutcomesEqual(fsStraight, fsSnapshot);
 
     equivalent = equivalent && identical;
+    forked = forked && snapshot.snap.resumePoints > 0 && fsSnapshot.snap.resumePoints > 0 &&
+             snapshot.snap.straightFallbacks + fsSnapshot.snap.straightFallbacks == 0;
     straightTemCycles += straight.snap.simulatedCycles;
     snapshotTemCycles += snapshot.snap.simulatedCycles;
     straightFsCycles += fsStraight.snap.simulatedCycles;
@@ -222,6 +226,10 @@ int main(int argc, char** argv) {
 
   if (!equivalent) {
     std::printf("FAIL: straight and snapshot outcome statistics diverged\n");
+    return 1;
+  }
+  if (!forked) {
+    std::printf("FAIL: a guest program ran straight instead of forking\n");
     return 1;
   }
   if (temRatio < 3.0) {

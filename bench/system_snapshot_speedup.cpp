@@ -108,7 +108,7 @@ int main(int argc, char** argv) {
 
   const util::MonotonicStopwatch snapClock;
   const fi::SystemCampaignStats snapshot =
-      fi::runSystemCampaign(benchConfig(experiments, fi::ExecutionMode::Snapshot));
+      fi::runSystemCampaign(benchConfig(experiments, fi::ExecutionMode::Auto));
   const double snapshotSeconds = snapClock.elapsedSeconds();
 
   bool equivalent = statsEqual(straight, snapshot);
@@ -116,7 +116,7 @@ int main(int argc, char** argv) {
   // Thread-count invariance of the splice engine, INCLUDING its own
   // counters (per-experiment counts merged in chunk order).
   for (const unsigned threads : {2u, 8u}) {
-    fi::SystemCampaignConfig rerun = benchConfig(experiments, fi::ExecutionMode::Snapshot);
+    fi::SystemCampaignConfig rerun = benchConfig(experiments, fi::ExecutionMode::Auto);
     rerun.parallelism.threads = threads;
     const fi::SystemCampaignStats again = fi::runSystemCampaign(rerun);
     equivalent = equivalent && statsEqual(snapshot, again) && snapEqual(snapshot.snap, again.snap);
@@ -133,7 +133,7 @@ int main(int argc, char** argv) {
     fi::SystemCampaignConfig config = benchConfig(experiments, fi::ExecutionMode::Straight);
     config.metrics = &straightMetrics;
     instrumentedStraight = fi::runSystemCampaign(config);
-    config = benchConfig(experiments, fi::ExecutionMode::Snapshot);
+    config = benchConfig(experiments, fi::ExecutionMode::Auto);
     config.metrics = &snapshotMetrics;
     instrumented = fi::runSystemCampaign(config);
   }
@@ -203,6 +203,10 @@ int main(int argc, char** argv) {
   }
   if (!metricsIdentical) {
     std::printf("FAIL: metrics golden fingerprints diverged across execution modes\n");
+    return 1;
+  }
+  if (snapshot.snap.resumePoints == 0 || instrumented.snap.resumePoints == 0) {
+    std::printf("FAIL: no experiment forked from a stored golden state\n");
     return 1;
   }
   if (ratio < 2.0) {

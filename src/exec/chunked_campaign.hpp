@@ -1,12 +1,17 @@
-// Deterministic chunked campaign driver shared by every Monte-Carlo style
-// experiment runner (fault-injection campaigns, system-level campaigns,
-// reliability estimation).
+// The one deterministic chunked campaign driver, runChunkedCampaign, shared
+// by every Monte-Carlo style experiment runner (machine and system
+// fault-injection campaigns, the scenario fuzzer, reliability estimation).
 //
 // Experiments are split into chunks; each chunk draws from its own RNG
 // sub-stream (`Rng::fork(chunkIndex)` off the campaign seed, forked in chunk
 // order) and accumulates into a chunk-local Stats. Chunk results merge in
 // chunk order afterwards, so for a fixed (seed, chunkSize) the campaign
 // statistics are bit-identical at EVERY thread count, including 1.
+//
+// Deferred per-chunk work: runOne may only sample into the accumulator and
+// leave the execution to a finish hook that runs on the whole chunk before
+// the merge (the machine campaigns sort a chunk's faults by injection time
+// and fork them in that order).
 //
 // Sequential early stopping (docs/ESTIMATORS.md): a campaign can carry an
 // EarlyStopRule that halts it once a target precision is reached. The stop
@@ -49,8 +54,8 @@ struct EarlyStopRule {
   std::size_t minItems = 0;
 };
 
-/// Result of a stoppable campaign: the merged statistics plus how much of
-/// the experiment budget they actually contain.
+/// Result of a chunked campaign: the merged statistics plus how much of the
+/// experiment budget they actually contain.
 template <typename Stats>
 struct ChunkedCampaignResult {
   Stats stats;
@@ -59,48 +64,50 @@ struct ChunkedCampaignResult {
   bool stoppedEarly = false;
 };
 
-/// Placeholder context for campaigns that need no per-chunk state.
-struct NoChunkContext {};
-
-/// Optional per-chunk lifecycle hook. Each chunk default-constructs a
-/// chunk-private context before its first experiment; `teardown(ctx,
-/// stats)` runs after the chunk's last experiment, INSIDE the worker and
-/// BEFORE the chunk is merged, so deferred work it performs (and any
-/// counters it folds into `stats`) still lands in the deterministic
-/// chunk-order merge. An empty hook skips teardown.
-template <typename Stats, typename Ctx>
-struct ChunkHooks {
-  std::function<void(Ctx& ctx, Stats& stats)> teardown;
+/// Optional behaviour of one chunked campaign; the default runs the whole
+/// budget with no hook, no cancellation, no progress and no profile.
+template <typename Stats>
+struct ChunkedCampaignOptions {
+  /// Sequential early stopping (empty `shouldStop` = run the whole budget).
+  EarlyStopRule<Stats> stop;
+  /// Runs after a chunk's last experiment, INSIDE the worker and BEFORE the
+  /// chunk-order merge, so deferred per-chunk work (carried in the chunk
+  /// accumulator itself) and the counters it folds into the accumulator
+  /// still land in the deterministic merge.
+  std::function<void(Stats&)> finishChunk;
+  /// Cooperative cancellation: a cancelled campaign throws
+  /// std::runtime_error("<what>: cancelled") rather than returning truncated
+  /// statistics (an early-stopped campaign is NOT truncated: its prefix is a
+  /// complete deterministic result).
+  CancellationToken* cancel = nullptr;
+  ProgressFn onProgress;
+  /// Execution profiling: deterministic structure counters ("exec.items",
+  /// "exec.chunks", "exec.early_stopped" — they reflect the chunks INCLUDED
+  /// in the result, so they are identical at every thread count even when
+  /// workers speculate past the stop boundary) plus non-golden "wall."
+  /// metrics (per-chunk wall-time histogram, throughput, worker utilization
+  /// — these do include speculative work).
+  obs::Registry* profile = nullptr;
 };
 
 /// Runs `experiments` seeded experiments chunk by chunk, merging chunk-local
-/// statistics in chunk order, with optional sequential early stopping.
+/// statistics in chunk order.
 ///
 /// Stats must be default-constructible, copyable, expose a `std::size_t
 /// experiments` member (set per chunk before the first experiment) and
-/// `merge(const Stats&)`. `runOne(rng, stats)` samples and classifies one
-/// experiment. A cancelled campaign throws std::runtime_error("<what>:
-/// cancelled") rather than returning truncated statistics (an early-stopped
-/// campaign is NOT truncated: its prefix is a complete deterministic result).
-///
-/// `profile` (optional) receives execution profiling: deterministic
-/// structure counters ("exec.items", "exec.chunks", "exec.early_stopped" —
-/// they reflect the chunks INCLUDED in the result, so they are identical at
-/// every thread count even when workers speculate past the stop boundary)
-/// plus non-golden "wall." metrics (per-chunk wall-time histogram,
-/// throughput, worker utilization — these do include speculative work).
-/// The hooked core: like runStoppableChunkedCampaign (below), but each chunk
-/// owns a default-constructed `Ctx` finalized by `hooks.teardown`,
-/// and `runOne(rng, stats, ctx)` receives it. A campaign that samples into
-/// the context during runOne and executes the (sorted) batch in teardown
-/// keeps the RNG stream AND the merged statistics bit-identical to the
-/// unhooked per-experiment execution at every thread count.
-template <typename Stats, typename Ctx, typename RunOne>
-ChunkedCampaignResult<Stats> runStoppableChunkedCampaignWithHooks(
-    std::size_t experiments, std::uint64_t seed, const Parallelism& parallelism,
-    const char* what, RunOne runOne, const ChunkHooks<Stats, Ctx>& hooks,
-    const EarlyStopRule<Stats>& stop = {}, CancellationToken* cancel = nullptr,
-    const ProgressFn& onProgress = {}, obs::Registry* profile = nullptr) {
+/// `merge(const Stats&)`. `runOne(rng, stats)` samples (and usually
+/// classifies) one experiment. A campaign that only samples in runOne and
+/// executes the chunk's batch in `options.finishChunk` keeps the RNG stream
+/// and the merged statistics bit-identical to per-experiment execution at
+/// every thread count.
+template <typename Stats, typename RunOne>
+ChunkedCampaignResult<Stats> runChunkedCampaign(std::size_t experiments, std::uint64_t seed,
+                                                const Parallelism& parallelism, const char* what,
+                                                RunOne runOne,
+                                                const ChunkedCampaignOptions<Stats>& options = {}) {
+  const EarlyStopRule<Stats>& stop = options.stop;
+  CancellationToken* const cancel = options.cancel;
+  obs::Registry* const profile = options.profile;
   const std::size_t chunkSize = parallelism.resolvedChunkSize(experiments);
   const std::size_t chunks = chunkCount(experiments, chunkSize);
   util::Rng root{seed};
@@ -142,9 +149,8 @@ ChunkedCampaignResult<Stats> runStoppableChunkedCampaignWithHooks(
         util::Rng rng = chunkRngs[range.index];
         Stats& stats = accumulators[range.index];
         stats.experiments = range.end - range.begin;
-        Ctx ctx{};
-        for (std::size_t i = range.begin; i < range.end; ++i) runOne(rng, stats, ctx);
-        if (hooks.teardown) hooks.teardown(ctx, stats);
+        for (std::size_t i = range.begin; i < range.end; ++i) runOne(rng, stats);
+        if (options.finishChunk) options.finishChunk(stats);
         if (profile != nullptr) {
           const double seconds = chunkClock.elapsedSeconds();
           busySeconds.fetch_add(seconds, std::memory_order_relaxed);
@@ -167,7 +173,7 @@ ChunkedCampaignResult<Stats> runStoppableChunkedCampaignWithHooks(
           }
         }
       },
-      runCancel, {onProgress, 0.25});
+      runCancel, {options.onProgress, 0.25});
 
   const bool callerCancelled = cancel != nullptr && cancel->cancelled();
   if (callerCancelled && !ruleFired) {
@@ -210,34 +216,6 @@ ChunkedCampaignResult<Stats> runStoppableChunkedCampaignWithHooks(
     }
   }
   return result;
-}
-
-/// Hook-free wrapper: `runOne(rng, stats)` with no per-chunk context. This
-/// is the entry point documented at the top of the file; the contract notes
-/// on Stats, cancellation and profiling live here.
-template <typename Stats, typename RunOne>
-ChunkedCampaignResult<Stats> runStoppableChunkedCampaign(
-    std::size_t experiments, std::uint64_t seed, const Parallelism& parallelism,
-    const char* what, RunOne runOne, const EarlyStopRule<Stats>& stop = {},
-    CancellationToken* cancel = nullptr, const ProgressFn& onProgress = {},
-    obs::Registry* profile = nullptr) {
-  return runStoppableChunkedCampaignWithHooks<Stats, NoChunkContext>(
-      experiments, seed, parallelism, what,
-      [&runOne](util::Rng& rng, Stats& stats, NoChunkContext&) { runOne(rng, stats); },
-      ChunkHooks<Stats, NoChunkContext>{}, stop, cancel, onProgress, profile);
-}
-
-/// Runs `experiments` seeded experiments chunk by chunk and merges the
-/// chunk-local statistics in chunk order (no early stopping; see
-/// runStoppableChunkedCampaign for the full contract).
-template <typename Stats, typename RunOne>
-Stats runChunkedCampaign(std::size_t experiments, std::uint64_t seed,
-                         const Parallelism& parallelism, const char* what, RunOne runOne,
-                         CancellationToken* cancel = nullptr, const ProgressFn& onProgress = {},
-                         obs::Registry* profile = nullptr) {
-  return runStoppableChunkedCampaign<Stats>(experiments, seed, parallelism, what, runOne,
-                                            EarlyStopRule<Stats>{}, cancel, onProgress, profile)
-      .stats;
 }
 
 }  // namespace nlft::exec

@@ -8,9 +8,7 @@
 #include "core/result.hpp"
 #include "exec/chunked_campaign.hpp"
 #include "faults/snapshot_exec.hpp"
-#include "obs/metrics.hpp"
 #include "snap/cache.hpp"
-#include "util/time.hpp"
 
 namespace nlft::fi {
 
@@ -311,9 +309,8 @@ class SnapshotSource {
 /// snapshot sources produce byte-identical CopyRuns, so the classification
 /// is a pure function of the experiment either way.
 template <typename Source>
-TemOutcome classifyTemWith(const TaskImage& image, const CopyRun& golden,
-                           double jobBudgetFactor, DetectionMechanismCounts* mechanisms,
-                           Source& source) {
+TemOutcome classifyTem(const TaskImage& image, const CopyRun& golden, double jobBudgetFactor,
+                       DetectionMechanismCounts* mechanisms, Source& source) {
   auto remaining =
       static_cast<std::int64_t>(jobBudgetFactor * static_cast<double>(golden.instructions));
 
@@ -364,18 +361,10 @@ TemOutcome classifyTemWith(const TaskImage& image, const CopyRun& golden,
   return TemOutcome::OmissionNoBudget;
 }
 
-TemOutcome classifyTem(const TaskImage& image, const CopyRun& golden,
-                       const ExperimentFault& fault, double jobBudgetFactor,
-                       DetectionMechanismCounts* mechanisms = nullptr,
-                       SnapCounters* snap = nullptr) {
-  StraightSource source{image, fault, snap};
-  return classifyTemWith(image, golden, jobBudgetFactor, mechanisms, source);
-}
-
 /// The fail-silent-node check (single copy, EDM + end-to-end checksum),
-/// parametrized like classifyTemWith.
+/// parametrized like classifyTem.
 template <typename Source>
-FsOutcome classifyFsWith(const TaskImage& image, const CopyRun& golden, Source& source) {
+FsOutcome classifyFs(const TaskImage& image, const CopyRun& golden, Source& source) {
   const CopyRun run = source.runCopy(1);
   if (run.end != CopyRun::End::Output) return FsOutcome::FailSilent;
   if (run.output != golden.output) {
@@ -386,12 +375,6 @@ FsOutcome classifyFsWith(const TaskImage& image, const CopyRun& golden, Source& 
   }
   if (source.eccCorrected()) return FsOutcome::MaskedByEcc;
   return FsOutcome::NotActivated;
-}
-
-FsOutcome classifyFs(const TaskImage& image, const CopyRun& golden,
-                     const ExperimentFault& fault, SnapCounters* snap = nullptr) {
-  StraightSource source{image, fault, snap};
-  return classifyFsWith(image, golden, source);
 }
 
 void tallyTem(TemCampaignStats& stats, TemOutcome outcome) {
@@ -425,20 +408,6 @@ void tallyFs(FsCampaignStats& stats, FsOutcome outcome) {
          fault.afterInstructions >= golden.instructions;
 }
 
-/// Folds the engine counters into an attached metrics registry.
-void exportSnapMetrics(obs::Registry* metrics, const SnapCounters& snap, double wallSeconds) {
-  if (metrics == nullptr) return;
-  metrics->add("snap.cycles", snap.simulatedCycles);
-  metrics->add("snap.hits", snap.snapshotHits);
-  metrics->add("snap.misses", snap.snapshotMisses);
-  metrics->add("snap.bytes", snap.snapshotBytes);
-  metrics->add("snap.resume_points", snap.resumePoints);
-  metrics->add("snap.copies.replayed", snap.replayedCopies);
-  metrics->add("snap.copies.executed", snap.executedCopies);
-  metrics->add("snap.fallbacks.straight", snap.straightFallbacks);
-  metrics->gaugeMax("wall.snap.campaign_seconds", wallSeconds);
-}
-
 /// Sorted execution order of a chunk's deferred experiments: by copy band,
 /// then injection time, so each band's baseline sweeps the clean prefix
 /// monotonically. std::iota + stable_sort keep the order a pure function of
@@ -454,6 +423,86 @@ void exportSnapMetrics(obs::Registry* metrics, const SnapCounters& snap, double 
     return pending[a].afterInstructions < pending[b].afterInstructions;
   });
   return order;
+}
+
+/// Byte budget of each chunk-private snapshot cache. Sorted forks never
+/// rewind, so a campaign never looks anything up in it.
+constexpr std::size_t kSnapshotCacheBytes = 8u << 20;
+
+/// Chunk accumulator of a machine campaign: the faults runOne sampled and
+/// the statistics the chunk finish hook folds their outcomes into.
+template <typename Stats>
+struct MachineChunk {
+  std::size_t experiments = 0;
+  std::vector<ExperimentFault> pending;
+  Stats stats;
+
+  void merge(const MachineChunk& other) { stats.merge(other.stats); }
+};
+
+/// The machine campaign body shared by TEM and FS, which differ only in
+/// `classify(golden, source, stats)`. runOne only SAMPLES, so the per-chunk
+/// RNG stream is the same in every mode; the chunk finish hook executes the
+/// batch sorted by (band, injection time). With a snapshot plan each
+/// experiment forks from a chunk-private band baseline; in Straight mode,
+/// for an image with no clean fixed point, or for a fault outside the
+/// swept prefix, it runs straight. Outcome tallies are commutative sums, so
+/// the merged statistics match straight execution bit for bit at every
+/// thread count.
+template <typename Stats, typename Classify>
+Stats runMachineCampaign(const TaskImage& image, const CampaignConfig& config, const char* what,
+                         bool singleCopy, Classify classify) {
+  const CopyRun golden = goldenRun(image);
+  TemSnapshotPlan plan;
+  if (config.mode != ExecutionMode::Straight) plan = buildTemSnapshotPlan(image, golden);
+
+  using Chunk = MachineChunk<Stats>;
+  exec::ChunkedCampaignOptions<Chunk> options;
+  options.cancel = config.cancel;
+  options.onProgress = config.onProgress;
+  options.finishChunk = [&](Chunk& chunk) {
+    // Take the batch: it is done once this hook returns, and the merge must
+    // not carry it.
+    const std::vector<ExperimentFault> pending = std::move(chunk.pending);
+    Stats& stats = chunk.stats;
+    stats.experiments = chunk.experiments;
+    snap::SnapshotCache cache{kSnapshotCacheBytes};
+    const std::uint64_t stride = std::max<std::uint64_t>(golden.instructions / 8, 1);
+    MachineBaseline band1{plan.startMachine1, 1, stride, cache};
+    MachineBaseline band2{plan.startMachine2, 2, stride, cache};
+    hw::Machine scratch{image.memBytes};
+    for (const std::size_t index : snapshotExecutionOrder(pending)) {
+      const ExperimentFault& fault = pending[index];
+      if (plan.supported && !needsStraightFallback(fault, golden)) {
+        SnapshotSource source{image, plan, fault, band1, band2, scratch, stats.snap};
+        classify(golden, source, stats);
+        continue;
+      }
+      if (plan.supported) ++stats.snap.straightFallbacks;
+      StraightSource source{image, fault, &stats.snap};
+      classify(golden, source, stats);
+    }
+    stats.snap.snapshotHits += cache.hits();
+    stats.snap.snapshotMisses += cache.misses();
+    stats.snap.snapshotBytes += cache.insertedBytes();
+    stats.snap.resumePoints += band1.resumePoints() + band2.resumePoints();
+    stats.snap.simulatedCycles += band1.sweepInstructions() + band2.sweepInstructions();
+  };
+
+  Stats stats = exec::runChunkedCampaign<Chunk>(
+                    config.experiments, config.seed, config.parallelism, what,
+                    [&](util::Rng& rng, Chunk& chunk) {
+                      const FaultSpec fault =
+                          sampleFault(image, golden.instructions, config.mix, rng);
+                      ExperimentFault experiment = normalize(fault, rng);
+                      // A single-copy node: the fault strikes that copy.
+                      if (singleCopy) experiment.targetCopy = 1;
+                      chunk.pending.push_back(std::move(experiment));
+                    },
+                    options)
+                    .stats.stats;
+  if (plan.supported) stats.snap.simulatedCycles += plan.planInstructions;
+  return stats;
 }
 
 }  // namespace
@@ -509,7 +558,9 @@ FsOutcome runFsExperiment(const TaskImage& image, const FaultSpec& fault) {
 TemOutcome detail::runTemExperiment(const TaskImage& image, const CopyRun& golden,
                                     const FaultSpec& fault, double jobBudgetFactor) {
   util::Rng rng{0xFau};  // only used when the double-flip marker is set
-  return classifyTem(image, golden, normalize(fault, rng), jobBudgetFactor);
+  const ExperimentFault experiment = normalize(fault, rng);
+  StraightSource source{image, experiment, nullptr};
+  return classifyTem(image, golden, jobBudgetFactor, nullptr, source);
 }
 
 FsOutcome detail::runFsExperiment(const TaskImage& image, const CopyRun& golden,
@@ -517,7 +568,8 @@ FsOutcome detail::runFsExperiment(const TaskImage& image, const CopyRun& golden,
   util::Rng rng{0xFau};
   ExperimentFault experiment = normalize(fault, rng);
   experiment.targetCopy = 1;
-  return classifyFs(image, golden, experiment);
+  StraightSource source{image, experiment, nullptr};
+  return classifyFs(image, golden, source);
 }
 
 FaultSpec sampleFault(const TaskImage& image, std::uint64_t goldenInstructions,
@@ -554,139 +606,20 @@ FaultSpec sampleFault(const TaskImage& image, std::uint64_t goldenInstructions,
 }
 
 TemCampaignStats runTemCampaign(const TaskImage& image, const CampaignConfig& config) {
-  const util::MonotonicStopwatch clock;
-  const CopyRun golden = goldenRun(image);
-  TemSnapshotPlan plan;
-  if (config.mode != ExecutionMode::Straight) plan = buildTemSnapshotPlan(image, golden);
-  if (config.mode == ExecutionMode::Snapshot && !plan.supported) {
-    throw std::runtime_error(
-        "runTemCampaign: image fails the snapshot support check (no clean fixed point)");
-  }
-
-  TemCampaignStats stats;
-  if (!plan.supported) {
-    stats = exec::runChunkedCampaign<TemCampaignStats>(
-        config.experiments, config.seed, config.parallelism, "runTemCampaign",
-        [&](util::Rng& rng, TemCampaignStats& chunk) {
-          const FaultSpec fault = sampleFault(image, golden.instructions, config.mix, rng);
-          const ExperimentFault experiment = normalize(fault, rng);
-          tallyTem(chunk, classifyTem(image, golden, experiment, config.jobBudgetFactor,
-                                      &chunk.mechanisms, &chunk.snap));
-        },
-        config.cancel, config.onProgress);
-  } else {
-    // Copy-on-inject: runOne only SAMPLES (so the per-chunk RNG stream is
-    // byte-identical to straight mode); the chunk teardown executes the
-    // batch sorted by (band, injection time) against chunk-private
-    // baselines and a chunk-private snapshot cache. Outcome tallies are
-    // commutative sums, so the merged statistics match straight execution
-    // bit for bit at every thread count.
-    struct ChunkContext {
-      std::vector<ExperimentFault> pending;
-    };
-    exec::ChunkHooks<TemCampaignStats, ChunkContext> hooks;
-    hooks.teardown = [&](ChunkContext& ctx, TemCampaignStats& chunk) {
-      snap::SnapshotCache cache{config.snapshotCacheBytes};
-      const std::uint64_t stride = std::max<std::uint64_t>(golden.instructions / 8, 1);
-      MachineBaseline band1{plan.startMachine1, 1, stride, cache};
-      MachineBaseline band2{plan.startMachine2, 2, stride, cache};
-      hw::Machine scratch{image.memBytes};
-      for (const std::size_t index : snapshotExecutionOrder(ctx.pending)) {
-        const ExperimentFault& fault = ctx.pending[index];
-        if (needsStraightFallback(fault, golden)) {
-          ++chunk.snap.straightFallbacks;
-          tallyTem(chunk, classifyTem(image, golden, fault, config.jobBudgetFactor,
-                                      &chunk.mechanisms, &chunk.snap));
-          continue;
-        }
-        SnapshotSource source{image, plan, fault, band1, band2, scratch, chunk.snap};
-        tallyTem(chunk, classifyTemWith(image, golden, config.jobBudgetFactor,
-                                        &chunk.mechanisms, source));
-      }
-      chunk.snap.snapshotHits += cache.hits();
-      chunk.snap.snapshotMisses += cache.misses();
-      chunk.snap.snapshotBytes += cache.insertedBytes();
-      chunk.snap.resumePoints += band1.resumePoints() + band2.resumePoints();
-      chunk.snap.simulatedCycles += band1.sweepInstructions() + band2.sweepInstructions();
-    };
-    stats = exec::runStoppableChunkedCampaignWithHooks<TemCampaignStats, ChunkContext>(
-                config.experiments, config.seed, config.parallelism, "runTemCampaign",
-                [&](util::Rng& rng, TemCampaignStats&, ChunkContext& ctx) {
-                  const FaultSpec fault =
-                      sampleFault(image, golden.instructions, config.mix, rng);
-                  ctx.pending.push_back(normalize(fault, rng));
-                },
-                hooks, {}, config.cancel, config.onProgress)
-                .stats;
-    stats.snap.simulatedCycles += plan.planInstructions;
-  }
-  exportSnapMetrics(config.metrics, stats.snap, clock.elapsedSeconds());
-  return stats;
+  return runMachineCampaign<TemCampaignStats>(
+      image, config, "runTemCampaign", /*singleCopy=*/false,
+      [&config, &image](const CopyRun& golden, auto& source, TemCampaignStats& stats) {
+        tallyTem(stats,
+                 classifyTem(image, golden, config.jobBudgetFactor, &stats.mechanisms, source));
+      });
 }
 
 FsCampaignStats runFsCampaign(const TaskImage& image, const CampaignConfig& config) {
-  const util::MonotonicStopwatch clock;
-  const CopyRun golden = goldenRun(image);
-  TemSnapshotPlan plan;
-  if (config.mode != ExecutionMode::Straight) plan = buildTemSnapshotPlan(image, golden);
-  if (config.mode == ExecutionMode::Snapshot && !plan.supported) {
-    throw std::runtime_error(
-        "runFsCampaign: image fails the snapshot support check (no clean fixed point)");
-  }
-
-  FsCampaignStats stats;
-  if (!plan.supported) {
-    stats = exec::runChunkedCampaign<FsCampaignStats>(
-        config.experiments, config.seed, config.parallelism, "runFsCampaign",
-        [&](util::Rng& rng, FsCampaignStats& chunk) {
-          const FaultSpec fault = sampleFault(image, golden.instructions, config.mix, rng);
-          ExperimentFault experiment = normalize(fault, rng);
-          experiment.targetCopy = 1;  // single-copy node: the fault strikes that copy
-          tallyFs(chunk, classifyFs(image, golden, experiment, &chunk.snap));
-        },
-        config.cancel, config.onProgress);
-  } else {
-    struct ChunkContext {
-      std::vector<ExperimentFault> pending;
-    };
-    exec::ChunkHooks<FsCampaignStats, ChunkContext> hooks;
-    hooks.teardown = [&](ChunkContext& ctx, FsCampaignStats& chunk) {
-      snap::SnapshotCache cache{config.snapshotCacheBytes};
-      const std::uint64_t stride = std::max<std::uint64_t>(golden.instructions / 8, 1);
-      MachineBaseline band1{plan.startMachine1, 1, stride, cache};
-      MachineBaseline band2{plan.startMachine2, 2, stride, cache};
-      hw::Machine scratch{image.memBytes};
-      for (const std::size_t index : snapshotExecutionOrder(ctx.pending)) {
-        const ExperimentFault& fault = ctx.pending[index];
-        if (needsStraightFallback(fault, golden)) {
-          ++chunk.snap.straightFallbacks;
-          tallyFs(chunk, classifyFs(image, golden, fault, &chunk.snap));
-          continue;
-        }
-        SnapshotSource source{image, plan, fault, band1, band2, scratch, chunk.snap};
-        tallyFs(chunk, classifyFsWith(image, golden, source));
-      }
-      chunk.snap.snapshotHits += cache.hits();
-      chunk.snap.snapshotMisses += cache.misses();
-      chunk.snap.snapshotBytes += cache.insertedBytes();
-      chunk.snap.resumePoints += band1.resumePoints() + band2.resumePoints();
-      chunk.snap.simulatedCycles += band1.sweepInstructions() + band2.sweepInstructions();
-    };
-    stats = exec::runStoppableChunkedCampaignWithHooks<FsCampaignStats, ChunkContext>(
-                config.experiments, config.seed, config.parallelism, "runFsCampaign",
-                [&](util::Rng& rng, FsCampaignStats&, ChunkContext& ctx) {
-                  const FaultSpec fault =
-                      sampleFault(image, golden.instructions, config.mix, rng);
-                  ExperimentFault experiment = normalize(fault, rng);
-                  experiment.targetCopy = 1;
-                  ctx.pending.push_back(std::move(experiment));
-                },
-                hooks, {}, config.cancel, config.onProgress)
-                .stats;
-    stats.snap.simulatedCycles += plan.planInstructions;
-  }
-  exportSnapMetrics(config.metrics, stats.snap, clock.elapsedSeconds());
-  return stats;
+  return runMachineCampaign<FsCampaignStats>(
+      image, config, "runFsCampaign", /*singleCopy=*/true,
+      [&image](const CopyRun& golden, auto& source, FsCampaignStats& stats) {
+        tallyFs(stats, classifyFs(image, golden, source));
+      });
 }
 
 void SnapCounters::merge(const SnapCounters& other) {

@@ -20,10 +20,6 @@
 #include "util/rng.hpp"
 #include "util/statistics.hpp"
 
-namespace nlft::obs {
-class Registry;
-}
-
 namespace nlft::fi {
 
 /// A task program plus everything needed to run one copy of it.
@@ -95,14 +91,12 @@ enum class FsOutcome : std::uint8_t {
 enum class ExecutionMode : std::uint8_t {
   /// Snapshot-fork (copy-on-inject) when the image supports it — verified
   /// per campaign by the clean-fixed-point protocol (docs/SNAPSHOT.md) —
-  /// with a transparent fallback to straight execution otherwise. The
-  /// default: results are bit-identical either way.
+  /// with a transparent fallback to straight execution otherwise (visible
+  /// as snap.resumePoints == 0). The default: results are bit-identical
+  /// either way.
   Auto,
   /// One fresh machine per experiment, every copy executed in full.
   Straight,
-  /// Force snapshot-fork; throws std::runtime_error if the image fails the
-  /// fixed-point support check (used by tests and the speedup bench).
-  Snapshot,
 };
 
 /// Deterministic counters of the snapshot/copy-on-inject engine, embedded
@@ -220,11 +214,6 @@ struct CampaignConfig {
   /// Execution engine (see ExecutionMode). Outcome statistics are
   /// bit-identical across modes; only the snap.* counters differ.
   ExecutionMode mode = ExecutionMode::Auto;
-  /// Byte budget of each chunk-private snapshot cache (snapshot mode).
-  std::size_t snapshotCacheBytes = 8u << 20;
-  /// Optional metrics sink: receives the deterministic "snap.*" counters
-  /// and the non-golden "wall.snap.*" timings after the campaign.
-  obs::Registry* metrics = nullptr;
 };
 
 /// Runs one copy of the task (optionally with a fault striking mid-run).

@@ -460,12 +460,14 @@ void addCampaignCounters(obs::Registry& m, const SystemCampaignStats& stats) {
   // by ECC): reconciles the gap between campaign.outcome.masked and the
   // per-sim registries, which only see the simulated experiments.
   m.add("campaign.skipped_masked", stats.skippedMasked);
-  // Splice-engine counters land under the non-golden "wall." namespace:
-  // they legitimately differ between execution modes, and the golden
-  // fingerprint must not (obs::Registry::goldenFingerprint skips "wall.").
-  m.add("wall.snap.sys.simulated_cycles", stats.snap.simulatedCycles);
-  m.add("wall.snap.sys.replayed_copies", stats.snap.replayedCopies);
-  m.add("wall.snap.sys.executed_copies", stats.snap.executedCopies);
+  // Fork and splice engine counters land under the non-golden "snap."
+  // namespace: they are deterministic but legitimately differ between
+  // execution modes, and the golden fingerprint must not
+  // (obs::Registry::goldenFingerprint skips "snap." as well as "wall.").
+  m.add("snap.sys.simulated_cycles", stats.snap.simulatedCycles);
+  m.add("snap.sys.resume_points", stats.snap.resumePoints);
+  m.add("snap.sys.replayed_copies", stats.snap.replayedCopies);
+  m.add("snap.sys.executed_copies", stats.snap.executedCopies);
 }
 
 /// Chunk accumulator pairing the campaign statistics with a chunk-local
@@ -492,8 +494,12 @@ ChunkStats runScenarios(const SystemCampaignConfig& config, const GuestContext& 
                         const SystemEngine& engine, const StratumSpec* stratum,
                         std::size_t experiments, std::uint64_t seed, const char* what,
                         const exec::ProgressFn& onProgress) {
+  exec::ChunkedCampaignOptions<ChunkStats> options;
+  options.cancel = config.cancel;
+  options.onProgress = onProgress;
+  options.profile = config.metrics;
   ChunkStats total =
-      exec::runStoppableChunkedCampaign<ChunkStats>(
+      exec::runChunkedCampaign<ChunkStats>(
           experiments, seed, config.parallelism, what,
           [&](util::Rng& rng, ChunkStats& chunk) {
             const SystemScenario scenario = sampleScenarioImpl(config, rng, ctx, stratum);
@@ -510,7 +516,7 @@ ChunkStats runScenarios(const SystemCampaignConfig& config, const GuestContext& 
             if (experiment.sim.stopped) ++stats.stops;
             if (experiment.skippedMasked) ++stats.skippedMasked;
           },
-          {}, config.cancel, onProgress, config.metrics)
+          options)
           .stats;
   total.stats.experiments = total.experiments;
   return total;

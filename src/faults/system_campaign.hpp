@@ -131,11 +131,11 @@ struct SystemCampaignConfig {
   bbw::BbwSimConfig sim{};
 
   /// How experiments execute (docs/SNAPSHOT.md "system campaigns"). Auto
-  /// and Snapshot build one golden timeline per campaign, fork every
-  /// experiment from the last stored golden state before its injection and
-  /// splice the golden tail onto every experiment that provably rejoins it;
-  /// Straight runs every simulation from t=0 to its end. Statistics and metrics fingerprints
-  /// are bit-identical across all three.
+  /// builds one golden timeline per campaign, forks every experiment from
+  /// the last stored golden state before its injection and splices the
+  /// golden tail onto every experiment that provably rejoins it; Straight
+  /// runs every simulation from t=0 to its end. Statistics and metrics
+  /// fingerprints are bit-identical across both.
   ExecutionMode mode = ExecutionMode::Auto;
 
   exec::Parallelism parallelism{};
@@ -145,9 +145,11 @@ struct SystemCampaignConfig {
   /// Optional metrics sink (not owned). The campaign folds in: every
   /// per-simulation registry (kernel/TEM/bus counters, via chunk-local
   /// registries merged in chunk order), derived "campaign.*" outcome
-  /// counters that reconcile 1:1 with SystemCampaignStats, and the
-  /// exec-layer profiling ("exec.*" / "wall.exec.*"). All non-"wall."
-  /// metrics are bit-identical at every thread count.
+  /// counters that reconcile 1:1 with SystemCampaignStats, the fork and
+  /// splice engine counters ("snap.sys.*") and the exec-layer profiling
+  /// ("exec.*" / "wall.exec.*"). All metrics but "wall.*" are bit-identical
+  /// at every thread count; all but "wall.*" and "snap.*" also across
+  /// execution modes.
   obs::Registry* metrics = nullptr;
 };
 
@@ -171,10 +173,9 @@ struct SystemCampaignStats {
   /// resumePoints (experiments forked from a stored golden state),
   /// replayedCopies (experiments finished by a golden-tail splice) and
   /// executedCopies (experiments simulated to their end); the other fields
-  /// stay zero. Stats-only by design: they differ between execution modes,
-  /// so folding them into the golden metrics namespace would break
-  /// cross-mode fingerprint equality (all but resumePoints appear in run
-  /// reports under "wall.snap.sys.*" instead).
+  /// stay zero. They differ between execution modes, so they stay out of
+  /// the golden metrics namespace: run reports carry them under the
+  /// non-golden "snap.sys.*" prefix, which cross-mode fingerprints skip.
   SnapCounters snap;
 
   void merge(const SystemCampaignStats& other);

@@ -108,7 +108,7 @@ FuzzReport runFuzzer(const FuzzConfig& config) {
           item.scenario = generateScenario(rng, snapshot, config);
           item.verdict = evaluateScenario(item.scenario, oracle, &cache);
           roundStats.items.push_back(std::move(item));
-        });
+        }).stats;
 
     // Sequential fold in deterministic (chunk, item) order.
     for (const RoundItem& item : stats.items) {

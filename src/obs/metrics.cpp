@@ -18,7 +18,7 @@ std::string describeSpec(const HistogramSpec& spec) {
 }  // namespace
 
 bool isNonGoldenMetric(const std::string& name) {
-  return name.rfind(kNonGoldenPrefix, 0) == 0;
+  return name.rfind("wall.", 0) == 0 || name.rfind("snap.", 0) == 0;
 }
 
 Registry::Registry(const Registry& other) {

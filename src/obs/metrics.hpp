@@ -16,10 +16,12 @@
 // the bit-identity guarantee the parallel campaign reducers rely on.
 //
 // Golden fencing: metric names under the "wall." prefix carry wall-clock
-// derived values (chunk timings, throughput). They are excluded from
-// goldenJson()/goldenFingerprint(), which is what the bit-identity tests and
-// run-report reconciliation compare — everything else must be deterministic
-// for a fixed seed, at every thread count.
+// derived values (chunk timings, throughput); names under "snap." carry
+// deterministic engine counts that differ between execution modes (forks,
+// splices). Both are excluded from goldenJson()/goldenFingerprint(), which
+// is what the bit-identity tests and run-report reconciliation compare —
+// everything else must be deterministic for a fixed seed, at every thread
+// count and in every execution mode.
 #pragma once
 
 #include <cstdint>
@@ -55,9 +57,9 @@ struct HistogramSnapshot {
   std::uint64_t total = 0;            ///< sum of counts
 };
 
-/// Prefix fencing wall-clock-derived (non-golden) metrics.
-inline constexpr const char* kNonGoldenPrefix = "wall.";
-
+/// True for metrics outside the golden subset: "wall." (host time) and
+/// "snap." (deterministic engine counts that differ between execution
+/// modes).
 [[nodiscard]] bool isNonGoldenMetric(const std::string& name);
 
 class Registry {
@@ -106,8 +108,9 @@ class Registry {
   /// {...}}. Deterministic (sorted names).
   [[nodiscard]] JsonValue toJson() const;
 
-  /// As toJson() but with every "wall."-prefixed metric removed — the
-  /// deterministic subset that must be bit-identical across thread counts.
+  /// As toJson() but with every non-golden ("wall." or "snap.") metric
+  /// removed — the subset that must be bit-identical across thread counts
+  /// and execution modes.
   [[nodiscard]] JsonValue goldenJson() const;
 
   /// dump() of goldenJson(): a comparable fingerprint string.

@@ -112,10 +112,12 @@ IsReliabilityResult estimateReliabilityIs(const SystemSpec& spec, const MonteCar
       *std::max_element(config.checkpointHours.begin(), config.checkpointHours.end());
   const std::size_t checkpointCount = config.checkpointHours.size();
 
-  exec::EarlyStopRule<IsChunk> rule;
+  exec::ChunkedCampaignOptions<IsChunk> options;
+  options.cancel = config.cancel;
+  options.onProgress = config.onProgress;
   if (config.target.ciHalfWidth > 0.0) {
-    rule.minItems = std::max<std::size_t>(config.target.minTrials, 1);
-    rule.shouldStop = [&config](const IsChunk& prefix, std::size_t) {
+    options.stop.minItems = std::max<std::size_t>(config.target.minTrials, 1);
+    options.stop.shouldStop = [&config](const IsChunk& prefix, std::size_t) {
       if (prefix.weightedFailure.empty()) return false;
       for (const util::RunningStats& stats : prefix.weightedFailure) {
         if (stats.confidenceHalfWidth() > config.target.ciHalfWidth) return false;
@@ -124,7 +126,7 @@ IsReliabilityResult estimateReliabilityIs(const SystemSpec& spec, const MonteCar
     };
   }
 
-  const auto run = exec::runStoppableChunkedCampaign<IsChunk>(
+  const auto run = exec::runChunkedCampaign<IsChunk>(
       config.trials, config.seed, config.parallelism, "estimateReliabilityIs",
       [&](util::Rng& rng, IsChunk& acc) {
         if (acc.weightedFailure.empty()) acc.weightedFailure.resize(checkpointCount);
@@ -135,7 +137,7 @@ IsReliabilityResult estimateReliabilityIs(const SystemSpec& spec, const MonteCar
         }
         acc.diagnostics.add(sample.failedAt < horizon ? 1.0 : 0.0, sample.weight);
       },
-      rule, config.cancel, config.onProgress);
+      options);
 
   IsReliabilityResult result;
   result.trials = run.itemsUsed;
@@ -195,7 +197,7 @@ MttfIsEstimate estimateMttfIs(const SystemSpec& spec, std::size_t trials, std::u
             simulateLifetimeBiased(spec, effectivelyForever, rng, bias);
         acc.weightedLifetimes.add(sample.weight * sample.failedAt);
         acc.diagnostics.add(sample.failedAt, sample.weight);
-      });
+      }).stats;
   MttfIsEstimate estimate;
   estimate.weightedLifetimes = merged.weightedLifetimes;
   estimate.weightDiagnostics = merged.diagnostics;

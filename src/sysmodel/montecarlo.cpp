@@ -44,10 +44,12 @@ MonteCarloResult estimateReliability(const SystemSpec& spec, const MonteCarloCon
       *std::max_element(config.checkpointHours.begin(), config.checkpointHours.end());
   const std::size_t checkpointCount = config.checkpointHours.size();
 
-  exec::EarlyStopRule<ReliabilityChunk> rule;
+  exec::ChunkedCampaignOptions<ReliabilityChunk> options;
+  options.cancel = config.cancel;
+  options.onProgress = config.onProgress;
   if (config.target.ciHalfWidth > 0.0) {
-    rule.minItems = std::max<std::size_t>(config.target.minTrials, 1);
-    rule.shouldStop = [&config](const ReliabilityChunk& prefix, std::size_t items) {
+    options.stop.minItems = std::max<std::size_t>(config.target.minTrials, 1);
+    options.stop.shouldStop = [&config](const ReliabilityChunk& prefix, std::size_t items) {
       if (prefix.survivors.empty()) return false;
       for (const std::size_t survivors : prefix.survivors) {
         const util::ProportionEstimate est = util::wilsonInterval(survivors, items);
@@ -57,7 +59,7 @@ MonteCarloResult estimateReliability(const SystemSpec& spec, const MonteCarloCon
     };
   }
 
-  const auto run = exec::runStoppableChunkedCampaign<ReliabilityChunk>(
+  const auto run = exec::runChunkedCampaign<ReliabilityChunk>(
       config.trials, config.seed, config.parallelism, "estimateReliability",
       [&](util::Rng& rng, ReliabilityChunk& acc) {
         if (acc.survivors.empty()) acc.survivors.assign(checkpointCount, 0);
@@ -70,7 +72,7 @@ MonteCarloResult estimateReliability(const SystemSpec& spec, const MonteCarloCon
           if (failedAt >= config.checkpointHours[c]) ++acc.survivors[c];
         }
       },
-      rule, config.cancel, config.onProgress);
+      options);
 
   MonteCarloResult result;
   result.trials = run.itemsUsed;
@@ -122,7 +124,7 @@ util::RunningStats estimateMttf(const SystemSpec& spec, std::size_t trials, std:
              [&](util::Rng& rng, MttfChunk& acc) {
                acc.lifetimes.add(simulateLifetime(spec, effectivelyForever, rng));
              })
-      .lifetimes;
+      .stats.lifetimes;
 }
 
 }  // namespace nlft::sys

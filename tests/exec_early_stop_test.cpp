@@ -1,12 +1,14 @@
-// Sequential early stopping in exec::runStoppableChunkedCampaign: the stop
-// decision is taken on chunk boundaries only, so a stopped campaign returns
-// a deterministic prefix of the full run — bit-identical at every thread
-// count (docs/ESTIMATORS.md describes the contract).
+// Sequential early stopping in exec::runChunkedCampaign: the stop decision
+// is taken on chunk boundaries only, so a stopped campaign returns a
+// deterministic prefix of the full run — bit-identical at every thread
+// count (docs/ESTIMATORS.md describes the contract), also when a chunk
+// finish hook executes deferred per-chunk work.
 #include "exec/chunked_campaign.hpp"
 
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <vector>
 
 namespace nlft::exec {
 namespace {
@@ -37,8 +39,10 @@ ChunkedCampaignResult<SumStats> runWithRule(std::size_t experiments, unsigned th
   Parallelism parallelism;
   parallelism.threads = threads;
   parallelism.chunkSize = chunkSize;
-  return runStoppableChunkedCampaign<SumStats>(experiments, kSeed, parallelism, "test", runOne,
-                                               rule, cancel);
+  ChunkedCampaignOptions<SumStats> options;
+  options.stop = rule;
+  options.cancel = cancel;
+  return runChunkedCampaign<SumStats>(experiments, kSeed, parallelism, "test", runOne, options);
 }
 
 TEST(EarlyStop, StopsOnChunkBoundaryOncePredicateHolds) {
@@ -108,15 +112,70 @@ TEST(EarlyStop, CallerCancellationStillThrows) {
   EXPECT_THROW((void)runWithRule(1000, 2, 50, rule, &cancel), std::runtime_error);
 }
 
-TEST(EarlyStop, PlainWrapperMatchesStoppableWithoutRule) {
+/// Accumulator whose runOne only samples: the draws wait in `pending` and
+/// the chunk finish hook sums them, counting the chunks and items it saw.
+struct DeferredStats {
+  std::size_t experiments = 0;
+  std::vector<double> pending;
+  double sum = 0.0;
+  std::size_t hookChunks = 0;
+  std::size_t hookItems = 0;
+
+  void merge(const DeferredStats& other) {
+    experiments += other.experiments;
+    sum += other.sum;
+    hookChunks += other.hookChunks;
+    hookItems += other.hookItems;
+  }
+};
+
+ChunkedCampaignResult<DeferredStats> runDeferred(unsigned threads) {
   Parallelism parallelism;
-  parallelism.threads = 1;
-  parallelism.chunkSize = 50;
-  const SumStats wrapped =
-      runChunkedCampaign<SumStats>(500, kSeed, parallelism, "test", runOne);
-  const auto direct = runWithRule(500, 1, 50, {});
-  EXPECT_EQ(wrapped.sum, direct.stats.sum);
-  EXPECT_EQ(wrapped.n, direct.stats.n);
+  parallelism.threads = threads;
+  parallelism.chunkSize = 25;
+  ChunkedCampaignOptions<DeferredStats> options;
+  options.stop.shouldStop = [](const DeferredStats& prefix, std::size_t) {
+    return prefix.sum >= 120.0;
+  };
+  options.finishChunk = [](DeferredStats& chunk) {
+    for (const double draw : chunk.pending) chunk.sum += draw;
+    ++chunk.hookChunks;
+    chunk.hookItems += chunk.pending.size();
+    chunk.pending.clear();
+  };
+  return runChunkedCampaign<DeferredStats>(
+      2000, kSeed, parallelism, "test",
+      [](util::Rng& rng, DeferredStats& stats) { stats.pending.push_back(rng.uniform01()); },
+      options);
+}
+
+TEST(EarlyStop, FinishHookAndStopRuleComposeDeterministically) {
+  // The rule sees prefixes the hook has already finished, and only the
+  // included chunks' hook counters reach the result.
+  const auto serial = runDeferred(1);
+  ASSERT_TRUE(serial.stoppedEarly);
+  EXPECT_EQ(serial.stats.hookChunks, serial.chunksUsed);
+  EXPECT_EQ(serial.stats.hookItems, serial.itemsUsed);
+  EXPECT_EQ(serial.stats.experiments, serial.itemsUsed);
+
+  // Deferring the work changes nothing: the same rule on per-experiment
+  // sums stops at the same boundary with the same bits.
+  EarlyStopRule<SumStats> rule;
+  rule.shouldStop = [](const SumStats& prefix, std::size_t) { return prefix.sum >= 120.0; };
+  const auto direct = runWithRule(2000, 1, 25, rule);
+  EXPECT_EQ(serial.itemsUsed, direct.itemsUsed);
+  EXPECT_EQ(serial.stats.sum, direct.stats.sum);
+
+  for (const unsigned threads : {2u, 8u}) {
+    SCOPED_TRACE(threads);
+    const auto parallel = runDeferred(threads);
+    EXPECT_TRUE(parallel.stoppedEarly);
+    EXPECT_EQ(parallel.itemsUsed, serial.itemsUsed);
+    EXPECT_EQ(parallel.chunksUsed, serial.chunksUsed);
+    EXPECT_EQ(parallel.stats.sum, serial.stats.sum);  // exact double equality
+    EXPECT_EQ(parallel.stats.hookChunks, serial.chunksUsed);
+    EXPECT_EQ(parallel.stats.hookItems, serial.itemsUsed);
+  }
 }
 
 }  // namespace

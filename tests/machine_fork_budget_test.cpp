@@ -47,7 +47,6 @@ CampaignConfig pinnedConfig(unsigned threads) {
   CampaignConfig config;
   config.experiments = 3000;
   config.seed = 47;
-  config.mode = ExecutionMode::Snapshot;  // throw rather than fall back
   config.parallelism.threads = threads;
   return config;
 }
@@ -67,12 +66,14 @@ TEST(MachineForkBudget, CampaignReplayDecisionsArePinned) {
       EXPECT_EQ(tem.snap.replayedCopies, pinned->temReplayed);
       EXPECT_EQ(tem.snap.executedCopies, pinned->temExecuted);
       EXPECT_EQ(tem.snap.simulatedCycles, pinned->temCycles);
+      EXPECT_GT(tem.snap.resumePoints, 0u);  // forked: no silent straight fallback
       EXPECT_EQ(tem.snap.straightFallbacks, 0u);
 
       const FsCampaignStats fs = runFsCampaign(image, pinnedConfig(threads));
       EXPECT_EQ(fs.snap.replayedCopies, pinned->fsReplayed);
       EXPECT_EQ(fs.snap.executedCopies, pinned->fsExecuted);
       EXPECT_EQ(fs.snap.simulatedCycles, pinned->fsCycles);
+      EXPECT_GT(fs.snap.resumePoints, 0u);
       EXPECT_EQ(fs.snap.straightFallbacks, 0u);
     }
   }

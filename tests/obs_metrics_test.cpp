@@ -253,5 +253,23 @@ TEST(ObsMetrics, GoldenFingerprintExcludesWallMetrics) {
   EXPECT_FALSE(isNonGoldenMetric("tem.jobs"));
 }
 
+TEST(ObsMetrics, GoldenFingerprintExcludesModeDependentSnapCounters) {
+  // "snap." counters are deterministic but differ between execution modes
+  // (a forked and spliced campaign simulates fewer events than a straight
+  // one), so they are fenced like host time.
+  Registry straight;
+  straight.add("tem.jobs", 10);
+  straight.add("snap.sys.simulated_cycles", 5000);
+  Registry spliced;
+  spliced.add("tem.jobs", 10);
+  spliced.add("snap.sys.simulated_cycles", 1200);
+  spliced.add("snap.sys.resume_points", 7);
+  EXPECT_NE(fingerprint(straight), fingerprint(spliced));
+  EXPECT_EQ(straight.goldenFingerprint(), spliced.goldenFingerprint());
+  EXPECT_TRUE(isNonGoldenMetric("snap.sys.resume_points"));
+  EXPECT_FALSE(isNonGoldenMetric("snapshot.count"));  // the fence is the "snap." prefix
+  EXPECT_FALSE(isNonGoldenMetric("sim.snap.x"));
+}
+
 }  // namespace
 }  // namespace nlft::obs

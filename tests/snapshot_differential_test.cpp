@@ -9,7 +9,8 @@
 //     run() on the same simulation at 5 seeded split points — the
 //     composition fi::SystemBaseline::runToRejoin relies on;
 //   - the machine-level TEM and fail-silent campaigns, straight vs
-//     snapshot execution across threads {1, 2, 8};
+//     snapshot execution across threads {1, 2, 8}, and the straight
+//     fallback of an image without a clean fixed point;
 //   - the MachineBaseline fork path, including out-of-order forks that
 //     exercise the rewind + snapshot-cache resume.
 #include <gtest/gtest.h>
@@ -131,9 +132,16 @@ TEST(SnapshotDifferential, CampaignStatisticsMatchAcrossModesAndThreads) {
     const fi::TemCampaignStats temStraight = fi::runTemCampaign(image, config);
     const fi::FsCampaignStats fsStraight = fi::runFsCampaign(image, config);
 
-    config.mode = fi::ExecutionMode::Snapshot;
+    config.mode = fi::ExecutionMode::Auto;
     const fi::TemCampaignStats temSnapshot = fi::runTemCampaign(image, config);
     const fi::FsCampaignStats fsSnapshot = fi::runFsCampaign(image, config);
+
+    // Every guest image has a clean fixed point, so Auto forks rather than
+    // falling back to straight execution.
+    EXPECT_GT(temSnapshot.snap.resumePoints, 0u);
+    EXPECT_EQ(temSnapshot.snap.straightFallbacks, 0u);
+    EXPECT_GT(fsSnapshot.snap.resumePoints, 0u);
+    EXPECT_EQ(fsSnapshot.snap.straightFallbacks, 0u);
 
     // Straight vs snapshot: identical outcome statistics, fewer simulated
     // cycles.
@@ -141,7 +149,7 @@ TEST(SnapshotDifferential, CampaignStatisticsMatchAcrossModesAndThreads) {
     EXPECT_TRUE(sameFsOutcomes(fsStraight, fsSnapshot));
     EXPECT_LT(temSnapshot.snap.simulatedCycles, temStraight.snap.simulatedCycles);
 
-    // Snapshot mode across threads {2, 8}: EVERYTHING identical, including
+    // Auto (forking) mode across threads {2, 8}: EVERYTHING identical, including
     // the snap counters (pure sums merged in chunk order).
     for (const unsigned threads : {2u, 8u}) {
       SCOPED_TRACE(threads);
@@ -154,6 +162,69 @@ TEST(SnapshotDifferential, CampaignStatisticsMatchAcrossModesAndThreads) {
       EXPECT_TRUE(sameSnapCounters(fsSnapshot.snap, fsThreaded.snap));
     }
     config.parallelism.threads = 1;
+  }
+}
+
+/// A task that bumps an invocation counter in its input region. Every copy
+/// delivers the same output, but the machine after a clean copy never
+/// returns to the state that copy started from: the image has no clean
+/// fixed point, so Auto must run it straight.
+fi::TaskImage imageWithoutCleanFixedPoint() {
+  fi::TaskImage image;
+  image.program = hw::assemble(R"(
+      ldi r1, 0x800        ; input base
+      ld  r2, [r1+0]
+      ld  r3, [r1+4]
+      ldi r4, 0            ; acc
+      ldi r5, 0            ; i
+    loop:
+      add r4, r4, r2
+      addi r5, r5, 1
+      cmp r5, r3
+      blt loop
+      ld  r6, [r1+8]       ; invocation counter
+      addi r6, r6, 1
+      st  r6, [r1+8]
+      ldi r7, 0xC00        ; output base
+      st  r4, [r7+0]
+      halt
+  )");
+  image.entry = 0;
+  image.stackTop = 0x4000;
+  image.inputBase = 0x800;
+  image.input = {13, 12, 0};  // addend, iterations, counter
+  image.outputBase = 0xC00;
+  image.outputWords = 1;
+  image.maxInstructionsPerCopy = 200;
+  return image;
+}
+
+TEST(SnapshotDifferential, AutoFallsBackToStraightWithoutCleanFixedPoint) {
+  const fi::TaskImage image = imageWithoutCleanFixedPoint();
+  fi::CampaignConfig config;
+  config.experiments = 400;
+  config.seed = 31;
+  config.parallelism.chunkSize = 50;
+
+  config.mode = fi::ExecutionMode::Straight;
+  const fi::TemCampaignStats temStraight = fi::runTemCampaign(image, config);
+  const fi::FsCampaignStats fsStraight = fi::runFsCampaign(image, config);
+  EXPECT_GT(temStraight.activated(), 0u);
+  EXPECT_GT(fsStraight.activated(), 0u);
+
+  config.mode = fi::ExecutionMode::Auto;
+  for (const unsigned threads : {1u, 2u, 8u}) {
+    SCOPED_TRACE(threads);
+    config.parallelism.threads = threads;
+    const fi::TemCampaignStats tem = fi::runTemCampaign(image, config);
+    const fi::FsCampaignStats fs = fi::runFsCampaign(image, config);
+    EXPECT_EQ(tem.snap.resumePoints, 0u);
+    EXPECT_EQ(fs.snap.resumePoints, 0u);
+    EXPECT_TRUE(sameTemOutcomes(temStraight, tem));
+    EXPECT_TRUE(sameFsOutcomes(fsStraight, fs));
+    // Nothing forked or replayed: even the engine counters equal Straight's.
+    EXPECT_TRUE(sameSnapCounters(temStraight.snap, tem.snap));
+    EXPECT_TRUE(sameSnapCounters(fsStraight.snap, fs.snap));
   }
 }
 

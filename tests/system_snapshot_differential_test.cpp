@@ -67,11 +67,13 @@ void expectSameSnapCounters(const SnapCounters& a, const SnapCounters& b) {
 
 TEST(SystemSnapshotDifferential, SnapshotStatsBitIdenticalToStraight) {
   const SystemCampaignStats straight = runSystemCampaign(smallConfig(ExecutionMode::Straight));
-  const SystemCampaignStats snapshot = runSystemCampaign(smallConfig(ExecutionMode::Snapshot));
+  const SystemCampaignStats snapshot = runSystemCampaign(smallConfig(ExecutionMode::Auto));
   expectSameResults(straight, snapshot);
 
-  // The engine actually engaged: at least one experiment answered by a
-  // golden-tail splice, and strictly fewer simulated events.
+  // The engine actually engaged: experiments forked from stored golden
+  // states, at least one was answered by a golden-tail splice, and
+  // strictly fewer events were simulated.
+  EXPECT_GT(snapshot.snap.resumePoints, 0u);
   EXPECT_GT(snapshot.snap.replayedCopies, 0u);
   EXPECT_LT(snapshot.snap.simulatedCycles, straight.snap.simulatedCycles);
   EXPECT_EQ(snapshot.snap.replayedCopies + snapshot.snap.executedCopies + snapshot.skippedMasked,
@@ -83,15 +85,8 @@ TEST(SystemSnapshotDifferential, SnapshotStatsBitIdenticalToStraight) {
             static_cast<std::uint64_t>(straight.experiments));
 }
 
-TEST(SystemSnapshotDifferential, AutoMatchesSnapshot) {
-  const SystemCampaignStats autoStats = runSystemCampaign(smallConfig(ExecutionMode::Auto));
-  const SystemCampaignStats snapshot = runSystemCampaign(smallConfig(ExecutionMode::Snapshot));
-  expectSameResults(autoStats, snapshot);
-  expectSameSnapCounters(autoStats.snap, snapshot.snap);
-}
-
 TEST(SystemSnapshotDifferential, ThreadCountInvariantIncludingSnapCounters) {
-  SystemCampaignConfig config = smallConfig(ExecutionMode::Snapshot);
+  SystemCampaignConfig config = smallConfig(ExecutionMode::Auto);
   config.parallelism.threads = 1;
   const SystemCampaignStats serial = runSystemCampaign(config);
   for (const unsigned threads : {2u, 8u}) {
@@ -114,7 +109,7 @@ TEST(SystemSnapshotDifferential, MetricsFingerprintIdenticalAcrossModesAndThread
 
   for (const unsigned threads : {1u, 2u, 8u}) {
     obs::Registry snapshotMetrics;
-    SystemCampaignConfig snapConfig = smallConfig(ExecutionMode::Snapshot);
+    SystemCampaignConfig snapConfig = smallConfig(ExecutionMode::Auto);
     snapConfig.parallelism.threads = threads;
     snapConfig.metrics = &snapshotMetrics;
     const SystemCampaignStats snapshot = runSystemCampaign(snapConfig);
@@ -135,7 +130,7 @@ TEST(SystemSnapshotDifferential, StratifiedCampaignMatchesAcrossModes) {
   straightConfig.experiments = 72;
   const StratifiedCampaignResult straight = runStratifiedSystemCampaign(straightConfig, 2);
 
-  SystemCampaignConfig snapConfig = smallConfig(ExecutionMode::Snapshot);
+  SystemCampaignConfig snapConfig = smallConfig(ExecutionMode::Auto);
   snapConfig.experiments = 72;
   const StratifiedCampaignResult snapshot = runStratifiedSystemCampaign(snapConfig, 2);
 
@@ -157,7 +152,7 @@ TEST(SystemSnapshotDifferential, StratifiedMetricsFingerprintIdenticalAcrossMode
 
   for (const unsigned threads : {1u, 2u, 8u}) {
     obs::Registry snapshotMetrics;
-    SystemCampaignConfig snapConfig = smallConfig(ExecutionMode::Snapshot);
+    SystemCampaignConfig snapConfig = smallConfig(ExecutionMode::Auto);
     snapConfig.experiments = 72;
     snapConfig.parallelism.threads = threads;
     snapConfig.metrics = &snapshotMetrics;
@@ -266,7 +261,7 @@ TEST(SystemSnapshotDifferential, PedalProfileClosureForksBitIdentically) {
   const SystemCampaignStats straight = runSystemCampaign(straightConfig);
 
   SystemCampaignConfig snapConfig = straightConfig;
-  snapConfig.mode = ExecutionMode::Snapshot;
+  snapConfig.mode = ExecutionMode::Auto;
   const SystemCampaignStats snapshot = runSystemCampaign(snapConfig);
   expectSameResults(straight, snapshot);
 }
